@@ -1,12 +1,10 @@
-"""Grouped spatial convolution with selectable compute backend.
+"""Grouped spatial convolution in numpy.
 
 Group size G is the number of input channels feeding each output channel;
 G = 1 is a depthwise convolution and G = C_in is a dense one. Weights are
-laid out (C_out, G, k, k). The numba backend runs the serial kernels in
-:mod:`effkit._conv_kernels`; the numpy backend unrolls the input into
-columns (im2col, Chellapilla et al. 2006) and multiplies them with
-``np.matmul`` stacked over (sample, group). Both share the padding
-arithmetic here.
+laid out (C_out, G, k, k). Every convolution, 1x1 included, unrolls the
+input into columns (im2col, Chellapilla et al. 2006) and multiplies them
+with ``np.matmul`` stacked over (sample, group).
 
 Per-sample results are bit-identical whatever batch a sample sits in. The
 rule that keeps them so: never fold the batch axis into a GEMM dimension.
@@ -24,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from . import _conv_kernels, backend
 
 PADDINGS = ("same", "valid")
 
@@ -142,15 +138,12 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
         raise ValueError(f"weight shape {weight.shape}, expected {spec.weight_shape}")
     xp = np.ascontiguousarray(_pad_input(x, spec), dtype=np.float64)
     weight = np.ascontiguousarray(weight, dtype=np.float64)
-    if backend.active_backend() == "numba":
-        y = _conv_kernels.grouped_conv_fwd(xp, weight, spec.stride, spec.groups)
-    else:
-        # (groups, opg, G*k*k) @ (B, groups, G*k*k, OH*OW): one GEMM per
-        # (sample, group), each of a shape that does not depend on B.
-        y = np.matmul(_grouped_weight(weight, spec), _columns(xp, spec))
-        y = y.reshape(
-            x.shape[0], spec.out_channels, spec.out_size(x.shape[2]), spec.out_size(x.shape[3])
-        )
+    # (groups, opg, G*k*k) @ (B, groups, G*k*k, OH*OW): one GEMM per
+    # (sample, group), each of a shape that does not depend on B.
+    y = np.matmul(_grouped_weight(weight, spec), _columns(xp, spec))
+    y = y.reshape(
+        x.shape[0], spec.out_channels, spec.out_size(x.shape[2]), spec.out_size(x.shape[3])
+    )
     cache = {"xp": xp, "weight": weight, "spec": spec, "in_shape": x.shape}
     return y, cache
 
@@ -162,24 +155,20 @@ def conv_backward(cache, dy: np.ndarray):
     dy = np.ascontiguousarray(dy, dtype=np.float64)
     b, _, hp, wp = xp.shape
     k, s = spec.kernel, spec.stride
-    if backend.active_backend() == "numba":
-        dw = _conv_kernels.grouped_conv_bwd_w(xp, dy, s, spec.groups, k, k)
-        dxp = _conv_kernels.grouped_conv_bwd_x(dy, weight, s, spec.groups, hp, wp)
-    else:
-        oh, ow = dy.shape[2], dy.shape[3]
-        dg = dy.reshape(b, spec.groups, spec.out_channels // spec.groups, oh * ow)
-        # The weight gradient is a sum over the batch anyway: one product per
-        # (sample, group), then the sum over samples.
-        dw = np.matmul(dg, _columns(xp, spec).transpose(0, 1, 3, 2)).sum(axis=0)
-        dw = dw.reshape(spec.weight_shape)
-        # dx: the transposed per-(sample, group) GEMM, then col2im over the
-        # taps in a fixed order.
-        dcols = np.matmul(_grouped_weight(weight, spec).transpose(0, 2, 1), dg)
-        dcols = dcols.reshape(b, spec.in_channels, k, k, oh, ow)
-        dxp = np.zeros((b, spec.in_channels, hp, wp))
-        for ky in range(k):
-            for kx in range(k):
-                dxp[:, :, ky : ky + oh * s : s, kx : kx + ow * s : s] += dcols[:, :, ky, kx]
+    oh, ow = dy.shape[2], dy.shape[3]
+    dg = dy.reshape(b, spec.groups, spec.out_channels // spec.groups, oh * ow)
+    # The weight gradient is a sum over the batch anyway: one product per
+    # (sample, group), then the sum over samples.
+    dw = np.matmul(dg, _columns(xp, spec).transpose(0, 1, 3, 2)).sum(axis=0)
+    dw = dw.reshape(spec.weight_shape)
+    # dx: the transposed per-(sample, group) GEMM, then col2im over the taps
+    # in a fixed order.
+    dcols = np.matmul(_grouped_weight(weight, spec).transpose(0, 2, 1), dg)
+    dcols = dcols.reshape(b, spec.in_channels, k, k, oh, ow)
+    dxp = np.zeros((b, spec.in_channels, hp, wp))
+    for ky in range(k):
+        for kx in range(k):
+            dxp[:, :, ky : ky + oh * s : s, kx : kx + ow * s : s] += dcols[:, :, ky, kx]
     in_shape = cache["in_shape"]
     ph, _ = spec.pad_amounts(in_shape[2])
     pw, _ = spec.pad_amounts(in_shape[3])

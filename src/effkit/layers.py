@@ -56,26 +56,24 @@ class Layer:
 
     # -- flat views ---------------------------------------------------------
 
-    def params(self) -> dict[str, np.ndarray]:
-        out = dict(self._params)
+    def _walk(self, kind: str) -> dict[str, np.ndarray]:
+        """This layer's ``_<kind>`` dict plus its children's, under
+        slash-separated names. Children are visited through their public
+        ``<kind>()`` method, so a wrapper on that method sees every visit."""
+        out = dict(getattr(self, f"_{kind}"))
         for cname, child in self._children.items():
-            for k, v in child.params().items():
+            for k, v in getattr(child, kind)().items():
                 out[f"{cname}/{k}"] = v
         return out
+
+    def params(self) -> dict[str, np.ndarray]:
+        return self._walk("params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = dict(self._grads)
-        for cname, child in self._children.items():
-            for k, v in child.grads().items():
-                out[f"{cname}/{k}"] = v
-        return out
+        return self._walk("grads")
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = dict(self._buffers)
-        for cname, child in self._children.items():
-            for k, v in child.buffers().items():
-                out[f"{cname}/{k}"] = v
-        return out
+        return self._walk("buffers")
 
     def state(self) -> dict[str, np.ndarray]:
         """Parameters plus buffers, the full checkpointable state."""
@@ -95,10 +93,8 @@ class Layer:
             arr[...] = src
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
+        for g in self._walk("grads").values():
             g[...] = 0.0
-        for child in self._children.values():
-            child.zero_grads()
 
     # -- compute ------------------------------------------------------------
 

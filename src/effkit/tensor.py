@@ -1,9 +1,7 @@
-"""Dense-tensor substrate: seeded RNG, moment reductions, binary serialization.
+"""Dense-tensor substrate: seeded RNG and binary serialization.
 
-Tensors are plain numpy ndarrays in (batch, channel, height, width) layout,
-float64 by default with float32 as an opt-in. Reductions delegate to numpy,
-whose pairwise summation is a fixed function of shape and strides, so
-repeated calls on the same array are bit-identical.
+Tensors are plain float64 numpy ndarrays in (batch, channel, height, width)
+layout.
 """
 
 from __future__ import annotations
@@ -13,25 +11,6 @@ from typing import BinaryIO
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
-
-DTYPE_NAMES = {"f64": np.float64, "f32": np.float32}
-NAMES_BY_DTYPE = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
-
-#: Per-sample reduction axis sets accepted by :func:`sample_moments`.
-PER_SAMPLE = "per_sample"
-PER_SAMPLE_GROUP = "per_sample_group"
-PER_SAMPLE_CHANNEL = "per_sample_channel"
-_AXIS_SETS = (PER_SAMPLE, PER_SAMPLE_GROUP, PER_SAMPLE_CHANNEL)
-
-
-def resolve_dtype(precision: str) -> np.dtype:
-    """Map a precision label ('f32'/'f64') to a numpy dtype."""
-    try:
-        return np.dtype(DTYPE_NAMES[precision])
-    except KeyError:
-        raise ValueError(f"unknown precision {precision!r}; use one of {sorted(DTYPE_NAMES)}")
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded counter-based generator (Philox): identical seed, identical
@@ -39,66 +18,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def channel_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and biased variance over batch and spatial axes.
-
-    Input must be 4-D (batch, channel, height, width); returns two arrays of
-    shape (channels,).
-    """
-    if x.ndim != 4:
-        raise ValueError(f"expected a 4-D tensor, got shape {x.shape}")
-    if x.size == 0:
-        raise ValueError("cannot take moments of an empty tensor")
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
-    return mean, var
-
-
-def sample_moments(
-    x: np.ndarray, over: str, groups: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample mean and biased variance over the requested axis set.
-
-    ``over`` selects the reduction:
-      * ``per_sample``: each batch element over (channel, height, width);
-        result shape (batch,).
-      * ``per_sample_group``: each batch element per group of ``groups``
-        channel blocks; result shape (batch, groups).
-      * ``per_sample_channel``: each batch element per channel over spatial
-        axes only; result shape (batch, channels).
-    """
-    if x.ndim != 4:
-        raise ValueError(f"expected a 4-D tensor, got shape {x.shape}")
-    if x.size == 0:
-        raise ValueError("cannot take moments of an empty tensor")
-    if over not in _AXIS_SETS:
-        raise ValueError(f"unknown axis set {over!r}; use one of {_AXIS_SETS}")
-    b, c, h, w = x.shape
-    if over == PER_SAMPLE:
-        view = x.reshape(b, 1, c * h * w)
-        squeeze = True
-        g = 1
-    elif over == PER_SAMPLE_CHANNEL:
-        view = x.reshape(b, c, h * w)
-        squeeze = False
-        g = c
-    else:
-        if groups < 1 or c % groups != 0:
-            raise ValueError(f"groups={groups} does not divide {c} channels")
-        view = x.reshape(b, groups, (c // groups) * h * w)
-        squeeze = False
-        g = groups
-    mean = view.mean(axis=2)
-    var = view.var(axis=2)
-    if squeeze:
-        return mean[:, 0], var[:, 0]
-    return mean.reshape(b, g), var.reshape(b, g)
-
-
 # ---------------------------------------------------------------------------
 # Binary serialization: rank and extents as little-endian uint64, then the
-# row-major float64 payload. Float32 arrays are widened on write (lossless)
-# and narrowed again by the caller where a dtype is recorded alongside.
+# row-major float64 payload. Float32 arrays are widened on write (lossless).
 # ---------------------------------------------------------------------------
 
 

@@ -359,7 +359,18 @@ def train_loop(
     """Run the recipe over ``data`` (a sequence of (images, labels) batches
     forming one epoch, iterated ``recipe.epochs`` times) and return the
     final checkpoint. Deterministic for fixed (seed, recipe, data order).
+
+    A ``micro_batch_size`` accumulates each batch's gradients over chunks of
+    that size. It must be positive, and the model's norm batch-independent:
+    batch norm's statistics would depend on the chunking.
     """
+    if micro_batch_size is not None:
+        if micro_batch_size < 1:
+            raise ValueError(f"micro-batch size must be positive, got {micro_batch_size}")
+        if model.config.norm.batch_dependent:
+            raise ValueError(
+                f"micro-batching needs a batch-independent norm, not {model.config.norm.kind!r}"
+            )
     data = list(data)
     if not data:
         raise ValueError("no training batches")

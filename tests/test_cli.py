@@ -282,6 +282,18 @@ def test_train_stdout_reports_progress(tmp_path, capsys):
     assert "checkpoint.bin" in stdout
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--micro-batch", "0"], ["--micro-batch", "-1"], ["--norm", "bn", "--micro-batch", "3"]],
+)
+def test_train_rejects_bad_micro_batch(flags, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc, _, stderr = run(["train", "--steps", "2", "--out", str(out), *flags], capsys)
+    assert rc == 2
+    assert "micro-batch" in stderr
+    assert not (out / "checkpoint.bin").exists()
+
+
 # -------------------------------------------------------------- finetune
 
 def test_finetune_requires_checkpoint(tmp_path, capsys):

@@ -1,12 +1,11 @@
-"""Grouped convolution kernels, padding arithmetic, and backends."""
+"""Grouped convolution (the one numpy im2col path) and padding arithmetic."""
 
 import itertools
-import os
 
 import numpy as np
 import pytest
 
-from effkit import backend, convs
+from effkit import convs
 from effkit.tensor import make_rng
 
 from oracles import fd_gradient, naive_grouped_conv
@@ -239,52 +238,6 @@ def test_grouped_backward_equals_stitched_dense_backwards():
         dxs, dws = convs.conv_backward(cs, dy[:, 4 * n : 4 * n + 4])
         np.testing.assert_allclose(dxs, dx[:, 4 * n : 4 * n + 4], atol=1e-12, rtol=0)
         np.testing.assert_allclose(dws, dw[4 * n : 4 * n + 4], atol=1e-12, rtol=0)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection and agreement
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def forced_backend():
-    saved = os.environ.get(backend.ENV_VAR)
-
-    def force(name):
-        os.environ[backend.ENV_VAR] = name
-
-    yield force
-    if saved is None:
-        os.environ.pop(backend.ENV_VAR, None)
-    else:
-        os.environ[backend.ENV_VAR] = saved
-
-
-def test_backend_env_validation(forced_backend):
-    forced_backend("cuda")
-    with pytest.raises(ValueError):
-        backend.requested_backend()
-    forced_backend("numpy")
-    assert backend.active_backend() == "numpy"
-
-
-@pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree(forced_backend):
-    rng = make_rng(8)
-    spec = convs.ConvSpec(8, 12, 3, stride=2, group_size=4)
-    x = rng.normal(size=(2, 8, 9, 9))
-    w = rng.normal(size=spec.weight_shape)
-    dy_shape = (2, 12, 5, 5)
-    dy = rng.normal(size=dy_shape)
-    results = {}
-    for name in ("numpy", "numba"):
-        forced_backend(name)
-        assert backend.active_backend() == name
-        y, cache = convs.conv_forward(x, w, spec)
-        dx, dw = convs.conv_backward(cache, dy)
-        results[name] = (y, dx, dw)
-    for a, b in zip(results["numpy"], results["numba"]):
-        np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
 
 
 def test_forward_is_deterministic_and_per_sample_stable():

@@ -84,6 +84,23 @@ def test_bn_moments_after_normalization():
     np.testing.assert_allclose(var, sigma2 / (sigma2 + eps), atol=1e-10, rtol=0)
 
 
+def test_batch_moments_matches_loop_oracle():
+    rng = make_rng(7)
+    x = rng.uniform(-2.0, 2.0, size=(4, 3, 8, 8))
+    mean, var = norms.batch_moments(x)
+    for c in range(3):
+        vals = [
+            x[b, c, i, j]
+            for b in range(4)
+            for i in range(8)
+            for j in range(8)
+        ]
+        m = sum(vals) / len(vals)
+        v = sum((t - m) ** 2 for t in vals) / len(vals)
+        assert abs(mean[c] - m) <= 1e-12
+        assert abs(var[c] - v) <= 1e-12
+
+
 def test_bn_static_stats_mode():
     rng = make_rng(2)
     x = rng.normal(size=(4, 3, 5, 5))

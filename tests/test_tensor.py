@@ -1,4 +1,4 @@
-"""Moment reductions, dtype resolution, and tensor serialization."""
+"""Seeded RNG and tensor serialization."""
 
 import io
 
@@ -6,103 +6,6 @@ import numpy as np
 import pytest
 
 from effkit import tensor
-
-from oracles import naive_group_moments
-
-
-def test_channel_moments_two_point_case():
-    x = np.zeros((2, 1, 1, 1))
-    x[0, 0, 0, 0] = 1.0
-    x[1, 0, 0, 0] = 3.0
-    mean, var = tensor.channel_moments(x)
-    assert mean.shape == (1,)
-    assert mean[0] == 2.0
-    assert var[0] == 1.0
-
-
-def test_channel_moments_constant_per_channel():
-    x = np.empty((3, 4, 5, 5))
-    for c in range(4):
-        x[:, c] = float(c) - 1.5
-    mean, var = tensor.channel_moments(x)
-    np.testing.assert_array_equal(mean, np.arange(4) - 1.5)
-    np.testing.assert_array_equal(var, np.zeros(4))
-
-
-def test_channel_moments_matches_loop_oracle():
-    rng = tensor.make_rng(7)
-    x = rng.uniform(-2.0, 2.0, size=(4, 3, 8, 8))
-    mean, var = tensor.channel_moments(x)
-    for c in range(3):
-        vals = [
-            x[b, c, i, j]
-            for b in range(4)
-            for i in range(8)
-            for j in range(8)
-        ]
-        m = sum(vals) / len(vals)
-        v = sum((t - m) ** 2 for t in vals) / len(vals)
-        assert abs(mean[c] - m) <= 1e-12
-        assert abs(var[c] - v) <= 1e-12
-
-
-def test_sample_moments_two_point_case():
-    x = np.zeros((1, 2, 1, 1))
-    x[0, 1, 0, 0] = 2.0
-    mean, var = tensor.sample_moments(x, tensor.PER_SAMPLE)
-    assert mean.shape == (1,)
-    assert mean[0] == 1.0
-    assert var[0] == 1.0
-
-
-def test_sample_moments_singleton_reduction_has_zero_variance():
-    rng = tensor.make_rng(0)
-    x = rng.normal(size=(3, 5, 1, 1))
-    mean, var = tensor.sample_moments(x, tensor.PER_SAMPLE_CHANNEL)
-    assert mean.shape == (3, 5)
-    np.testing.assert_array_equal(var, np.zeros((3, 5)))
-    np.testing.assert_allclose(mean, x[:, :, 0, 0])
-
-
-def test_sample_moments_grouped_matches_loop_oracle():
-    rng = tensor.make_rng(11)
-    x = rng.normal(size=(2, 8, 6, 6))
-    mean, var = tensor.sample_moments(x, tensor.PER_SAMPLE_GROUP, groups=4)
-    ref_mean, ref_var = naive_group_moments(x, 4)
-    np.testing.assert_allclose(mean, ref_mean, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(var, ref_var, atol=1e-12, rtol=0)
-
-
-def test_sample_moments_group_degenerate_identities():
-    rng = tensor.make_rng(3)
-    x = rng.normal(size=(2, 6, 4, 4))
-    m1, v1 = tensor.sample_moments(x, tensor.PER_SAMPLE_GROUP, groups=1)
-    ms, vs = tensor.sample_moments(x, tensor.PER_SAMPLE)
-    np.testing.assert_array_equal(m1[:, 0], ms)
-    np.testing.assert_array_equal(v1[:, 0], vs)
-    mc, vc = tensor.sample_moments(x, tensor.PER_SAMPLE_GROUP, groups=6)
-    mref, vref = tensor.sample_moments(x, tensor.PER_SAMPLE_CHANNEL)
-    np.testing.assert_array_equal(mc, mref)
-    np.testing.assert_array_equal(vc, vref)
-
-
-def test_sample_moments_rejects_bad_inputs():
-    x = np.zeros((2, 6, 4, 4))
-    with pytest.raises(ValueError):
-        tensor.sample_moments(x, "per_batch")
-    with pytest.raises(ValueError):
-        tensor.sample_moments(x, tensor.PER_SAMPLE_GROUP, groups=5)
-    with pytest.raises(ValueError):
-        tensor.sample_moments(np.zeros((2, 3, 4)), tensor.PER_SAMPLE)
-    with pytest.raises(ValueError):
-        tensor.channel_moments(np.zeros((0, 3, 4, 4)))
-
-
-def test_resolve_dtype():
-    assert tensor.resolve_dtype("f64") == np.float64
-    assert tensor.resolve_dtype("f32") == np.float32
-    with pytest.raises(ValueError):
-        tensor.resolve_dtype("f16")
 
 
 def test_make_rng_is_deterministic():
