@@ -4,7 +4,8 @@ Subcommands: count, roofline, resolution, train, finetune, verify. Options
 resolve as flags > config file > built-in defaults; the resolved values are
 written to <out>/config.json so a run can be reproduced exactly with
 ``--config`` and no flags. Exit codes: 0 success, 1 verification-suite
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error, 3 training or fine-tuning diverged
+(a non-finite loss or final state; no checkpoint is written).
 """
 
 from __future__ import annotations
@@ -332,6 +333,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"error: diverged, no checkpoint written: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

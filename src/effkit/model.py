@@ -250,7 +250,6 @@ class EfficientNet(Layer):
         self.config = config
         quad = QuadratureRule.gauss_hermite(config.quad_order) if config.proxy else None
         dims = block_dims(config)
-        self.block_count = len(dims)
         self.downsample_blocks = [i for i, d in enumerate(dims) if d.stride == 2]
 
         self.add_child("stem_conv", Conv(ConvSpec(3, config.stem_channels, 3, 2), rng))
@@ -277,31 +276,38 @@ class EfficientNet(Layer):
             + ["head_conv", "head_norm", "pool", "classifier"]
         )
 
-    def forward(self, x, train=True):
-        if x.ndim != 4 or x.shape[1] != 3:
-            raise ValueError(f"expected input (batch, 3, h, w), got shape {x.shape}")
-        floor = 2 ** (1 + len(self.downsample_blocks))
-        if min(x.shape[2], x.shape[3]) < floor:
-            raise ValueError(
-                f"spatial extent {x.shape[2]}x{x.shape[3]} below the {floor} minimum "
-                f"for {1 + len(self.downsample_blocks)} downsampling layers"
-            )
+    def forward(self, x, train=True, start=0, stop=None):
+        """Run the children ``_order[start:stop]``; ``x`` is the input of
+        child ``start``. The defaults run the whole network on images."""
+        if start == 0:
+            if x.ndim != 4 or x.shape[1] != 3:
+                raise ValueError(f"expected input (batch, 3, h, w), got shape {x.shape}")
+            floor = 2 ** (1 + len(self.downsample_blocks))
+            if min(x.shape[2], x.shape[3]) < floor:
+                raise ValueError(
+                    f"spatial extent {x.shape[2]}x{x.shape[3]} below the {floor} minimum "
+                    f"for {1 + len(self.downsample_blocks)} downsampling layers"
+                )
         h = x
-        for name in self._order:
+        for name in self._order[start:stop]:
             h = self._children[name](h, train)
         return h
 
-    def backward(self, dy):
+    def backward(self, dy, stop=0):
+        """Backward from the last child down to child ``stop``, which must
+        have run forward; returns the gradient of that child's input. The
+        children before ``stop`` accumulate no gradient."""
         dh = dy
-        for name in reversed(self._order):
+        for name in reversed(self._order[stop:]):
             dh = self._children[name].backward(dh)
         return dh
 
     def num_params(self) -> int:
         return sum(int(p.size) for p in self.params().values())
 
-    def scope_prefixes(self, last_k: int) -> list[str]:
-        """Name prefixes trainable when fine-tuning the last ``k`` segments.
+    def scope_start(self, last_k: int) -> int:
+        """Index in ``_order`` of the first child trained when fine-tuning
+        the last ``k`` segments; the scope is ``_order[scope_start(k):]``.
 
         Segment 1 is the head plus classifier; each further segment extends
         back to the previous downsampling boundary, and past the first block
@@ -309,16 +315,16 @@ class EfficientNet(Layer):
         """
         if last_k < 1:
             raise ValueError(f"last_k must be positive, got {last_k}")
-        head = ["head_conv/", "head_norm/", "classifier/"]
         if last_k == 1:
-            return head
+            return self._order.index("head_conv")
         take = last_k - 1
         if take > len(self.downsample_blocks):
-            start = 0
-            head = ["stem_conv/", "stem_norm/"] + head
-        else:
-            start = self.downsample_blocks[-take]
-        return [f"blocks/{i}/" for i in range(start, self.block_count)] + head
+            return 0
+        return self._order.index(f"blocks/{self.downsample_blocks[-take]}")
+
+    def scope_prefixes(self, last_k: int) -> list[str]:
+        """Name prefixes of the children in the last ``k`` segments."""
+        return [f"{name}/" for name in self._order[self.scope_start(last_k):]]
 
     def scope_param_names(self, last_k: int) -> set[str]:
         prefixes = tuple(self.scope_prefixes(last_k))

@@ -64,10 +64,6 @@ class TrainRecipe:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def fingerprint(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
 
 @dataclass(frozen=True)
 class FinetuneRecipe:
@@ -86,9 +82,12 @@ class FinetuneRecipe:
     def last_k(self) -> int:
         return int(self.scope.split("-")[1])
 
-    def fingerprint(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+
+def recipe_fingerprint(recipe: TrainRecipe | FinetuneRecipe) -> str:
+    """SHA-256 of the recipe's fields as canonical JSON, recorded in every
+    checkpoint."""
+    blob = json.dumps(asdict(recipe), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +323,11 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 
 
-def _run_batch(model, x, targets, smoothing, micro_batch_size=None):
+def _run_batch(model, x, targets, smoothing, micro_batch_size=None, first=0):
     """Forward/backward over one logical batch, accumulating gradients.
+
+    ``x`` is the input of child ``first`` of ``model._order``: the children
+    from there on run forward, and backward stops at that child.
 
     With a micro-batch size the batch is processed in chunks whose loss
     gradients are scaled by chunk/total so the accumulated gradients equal
@@ -338,13 +340,30 @@ def _run_batch(model, x, targets, smoothing, micro_batch_size=None):
     for start in range(0, total, size):
         xs = x[start : start + size]
         ts = targets[start : start + size]
-        logits = model.forward(xs, train=True)
+        logits = model.forward(xs, train=True, start=first)
         losses = -(smoothed_targets(ts, logits.shape[1], smoothing) * _log_softmax(logits)).sum(axis=1)
         loss_sum += float(losses.sum())
         correct += int((logits.argmax(axis=1) == ts.argmax(axis=1)).sum())
         dlogits = smoothed_cross_entropy_grad(logits, ts, smoothing) * (xs.shape[0] / total)
-        model.backward(dlogits)
+        model.backward(dlogits, stop=first)
     return loss_sum / total, correct / total
+
+
+def _check_loss(loss, step, log_path, log_rows) -> None:
+    """Stop on a non-finite step loss, after writing the log so far."""
+    if not math.isfinite(loss):
+        if log_path is not None:
+            _write_log(log_path, log_rows)
+        raise FloatingPointError(f"non-finite loss {loss} at step {step}")
+
+
+def _check_finite(group: str, arrays: dict[str, np.ndarray]) -> None:
+    """Refuse to checkpoint non-finite values: the last update can overflow
+    after a finite loss."""
+    bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+    if bad:
+        raise FloatingPointError(f"{len(bad)} non-finite {group} entries after the last step, "
+                                 f"first {bad[0]!r}")
 
 
 def train_loop(
@@ -363,6 +382,10 @@ def train_loop(
     A ``micro_batch_size`` accumulates each batch's gradients over chunks of
     that size. It must be positive, and the model's norm batch-independent:
     batch norm's statistics would depend on the chunking.
+
+    Raises ``FloatingPointError`` on a non-finite step loss or a non-finite
+    final state, optimizer state or average; the log up to that point is
+    still written.
     """
     if micro_batch_size is not None:
         if micro_batch_size < 1:
@@ -392,8 +415,9 @@ def train_loop(
                 x, targets = augment_batch(x, targets, rng, recipe)
             model.zero_grads()
             loss, acc = _run_batch(model, x, targets, recipe.label_smoothing, micro_batch_size)
-            rmsprop_step(params, model.grads(), state, recipe, lr, decay_names)
             log_rows.append((epoch, step, lr, loss, acc))
+            _check_loss(loss, step, log_path, log_rows)
+            rmsprop_step(params, model.grads(), state, recipe, lr, decay_names)
             step += 1
             if max_steps is not None and step >= max_steps:
                 done = True
@@ -403,12 +427,15 @@ def train_loop(
             break
     if log_path is not None:
         _write_log(log_path, log_rows)
+    final = model.state()
+    for group, arrays in (("state", final), ("optimizer", state), ("average", ema)):
+        _check_finite(group, arrays)
     return Checkpoint(
-        state={k: v.copy() for k, v in model.state().items()},
+        state={k: v.copy() for k, v in final.items()},
         opt_state={k: v.copy() for k, v in state.items()},
         ema=ema,
         epoch=min(recipe.epochs, math.ceil(step / steps_per_epoch)),
-        fingerprint=recipe.fingerprint(),
+        fingerprint=recipe_fingerprint(recipe),
         model_config=config_to_dict(model.config),
     )
 
@@ -422,7 +449,22 @@ def finetune(
 ) -> Checkpoint:
     """Fine-tune the last ``recipe.scope`` segments with cosine SGD,
     starting from the checkpoint's averaged weights. Parameters outside the
-    scope are bit-identical afterwards."""
+    scope are bit-identical afterwards.
+
+    Only the scope is trained, so only the scope is computed every step.
+    The frozen prefix (the children of ``model._order`` before
+    ``model.scope_start``) runs forward in train mode once per distinct
+    batch, the first time the loop reaches position ``i`` of ``data``; its
+    output is kept, one activation per batch, and fed to the scope in every
+    later epoch. Backward stops at the scope boundary, and only the scoped
+    gradients are zeroed and written. Every parameter ends as a full
+    forward/backward loop would leave it, and with ``ln``/``gn``/``in`` so
+    does the whole state. With ``bn`` the batch-norm running statistics
+    outside the scope move once per distinct batch (what one epoch gives),
+    not once per batch per epoch; those inside the scope move every step.
+
+    Raises ``FloatingPointError`` on a non-finite step loss or final state.
+    """
     data = list(data)
     if not data:
         raise ValueError("no fine-tuning batches")
@@ -430,28 +472,38 @@ def finetune(
     params = model.params()
     for name, arr in params.items():
         arr[...] = ckpt.ema[name]
+    first = model.scope_start(recipe.last_k)
     scoped = sorted(model.scope_param_names(recipe.last_k))
+    grads = model.grads()  # backward accumulates into these arrays in place
+    scoped_grads = [grads[name] for name in scoped]
+    prefix_out: dict[int, np.ndarray] = {}  # batch position -> frozen prefix output
     num_classes = model.config.num_classes
     total_steps = recipe.epochs * len(data)
     log_rows = []
     step = 0
     for epoch in range(recipe.epochs):
-        for x, y in data:
+        for i, (x, y) in enumerate(data):
             lr = cosine_lr(step, total_steps, recipe.initial_lr)
             targets = _as_distribution(y, num_classes)
-            model.zero_grads()
-            loss, acc = _run_batch(model, x, targets, smoothing=0.0)
-            sgd_step(params, model.grads(), lr, scoped)
+            if i not in prefix_out:
+                prefix_out[i] = model.forward(x, train=True, stop=first)
+            for g in scoped_grads:
+                g[...] = 0.0
+            loss, acc = _run_batch(model, prefix_out[i], targets, smoothing=0.0, first=first)
             log_rows.append((epoch, step, lr, loss, acc))
+            _check_loss(loss, step, log_path, log_rows)
+            sgd_step(params, grads, lr, scoped)
             step += 1
     if log_path is not None:
         _write_log(log_path, log_rows)
+    final = model.state()
+    _check_finite("state", final)
     return Checkpoint(
-        state={k: v.copy() for k, v in model.state().items()},
+        state={k: v.copy() for k, v in final.items()},
         opt_state={},
         ema={k: v.copy() for k, v in params.items()},
         epoch=ckpt.epoch + recipe.epochs,
-        fingerprint=recipe.fingerprint(),
+        fingerprint=recipe_fingerprint(recipe),
         model_config=config_to_dict(model.config),
     )
 

@@ -209,3 +209,41 @@ def ema_reference(values, decay):
         shadow = v if shadow is None else decay * shadow + (1.0 - decay) * v
         out.append(shadow)
     return out
+
+
+# ---------------------------------------------------------------------------
+# fine-tuning
+# ---------------------------------------------------------------------------
+
+
+def naive_finetune(model, ckpt, last_k, epochs, initial_lr, batches):
+    """The plain fine-tuning loop; returns the model's final state.
+
+    Every step zeroes every gradient, runs the whole network forward and
+    backward, and applies cosine-scheduled SGD to the parameters of the last
+    ``last_k`` segments. The loss gradient, the schedule and the update are
+    written out here in the package's floating-point order, so a loop that
+    skips only work whose result goes unused must agree bit for bit.
+    """
+    model.load_state(ckpt.state)
+    params = model.params()
+    for name, arr in params.items():
+        arr[...] = ckpt.ema[name]
+    scoped = sorted(model.scope_param_names(last_k))
+    total = epochs * len(batches)
+    step = 0
+    for _ in range(epochs):
+        for x, y in batches:
+            lr = initial_lr * 0.5 * (1.0 + math.cos(math.pi * step / total))
+            model.zero_grads()
+            logits = model.forward(x, train=True)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            target = np.zeros_like(logits)
+            target[np.arange(len(y)), y] = 1.0
+            model.backward((np.exp(log_probs) - target) / len(y))
+            grads = model.grads()
+            for name in scoped:
+                params[name] -= lr * grads[name]
+            step += 1
+    return {name: arr.copy() for name, arr in model.state().items()}

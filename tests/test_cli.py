@@ -6,6 +6,7 @@ no subprocess overhead is paid.
 
 import json
 
+import numpy as np
 import pytest
 
 from effkit.cli import GLOBAL_DEFAULTS, SUB_DEFAULTS, main
@@ -292,6 +293,16 @@ def test_train_rejects_bad_micro_batch(flags, tmp_path, capsys):
     assert rc == 2
     assert "micro-batch" in stderr
     assert not (out / "checkpoint.bin").exists()
+
+
+def test_train_divergence_exits_3_without_checkpoint(tmp_path, capsys):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc, _, stderr = run(["train", "--lr", "1e200", "--steps", "4", "--out", str(out)], capsys)
+    assert rc == 3
+    assert "non-finite loss nan at step 1" in stderr
+    assert not (out / "checkpoint.bin").exists()
+    assert len((out / "train_log.csv").read_text().splitlines()) == 3
 
 
 # -------------------------------------------------------------- finetune

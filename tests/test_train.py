@@ -8,11 +8,11 @@ import pytest
 from effkit import train
 from effkit.data import as_batches, blob_dataset
 from effkit.layers import decay_param_names
-from effkit.model import ModelConfig, build_model
+from effkit.model import ModelConfig, StageSpec, build_model
 from effkit.norms import NormSpec
 from effkit.tensor import make_rng
 
-from oracles import ema_reference, rmsprop_reference
+from oracles import ema_reference, naive_finetune, rmsprop_reference
 
 
 def tiny_setup(seed=0, **config_over):
@@ -59,12 +59,23 @@ def test_finetune_recipe():
         train.FinetuneRecipe(initial_lr=0.0)
 
 
+def test_default_recipe_fingerprints_are_stable():
+    # Saved checkpoints carry these digests; a change to the recipe fields
+    # or to their serialization would orphan them.
+    assert train.recipe_fingerprint(train.TrainRecipe(global_batch=8)) == (
+        "4129729a8fd544e6c574951352aa93db35151f60ad9c707d3cd43c4ab31b33cf"
+    )
+    assert train.recipe_fingerprint(train.FinetuneRecipe()) == (
+        "f831038438e386e80a0de6c02e32ef0698386a5f2de19b000219f5e1f0443c6d"
+    )
+
+
 def test_recipe_fingerprint_tracks_content():
     a = train.TrainRecipe(global_batch=768)
     b = train.TrainRecipe(global_batch=768)
     c = train.TrainRecipe(global_batch=512)
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != c.fingerprint()
+    assert train.recipe_fingerprint(a) == train.recipe_fingerprint(b)
+    assert train.recipe_fingerprint(a) != train.recipe_fingerprint(c)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +425,20 @@ def test_weight_decay_moves_exactly_the_decay_set():
                 assert moved == (name in decay_names and params[name].any()), name
 
 
+def test_train_loop_stops_on_divergence(tmp_path):
+    net, batches = tiny_setup(seed=19)
+    log = tmp_path / "log.csv"
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="loss nan at step 1"):
+        train.train_loop(net, batches, train.TrainRecipe(global_batch=8, base_lr=1e200),
+                         seed=0, log_path=log)
+    assert len(log.read_text().splitlines()) == 3  # header, then steps 0 and 1
+    # A last update that overflows after a finite loss is caught too.
+    net, batches = tiny_setup(seed=19)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite state"):
+        train.train_loop(net, batches, train.TrainRecipe(global_batch=8, base_lr=1e308),
+                         seed=0, max_steps=1)
+
+
 def test_train_loop_rejects_empty_data():
     net, _ = tiny_setup(seed=16)
     recipe = train.TrainRecipe(global_batch=8)
@@ -455,3 +480,82 @@ def test_finetune_starts_from_the_averaged_weights():
     probe = "stem_conv/weight"
     assert np.array_equal(params[probe], ckpt.ema[probe])
     assert not np.array_equal(params[probe], ckpt.state[probe])
+
+
+# Three downsampling blocks, so that last-2 and last-3 begin inside the
+# blocks; on tiny (one downsampling block) last-3 takes in the stem.
+DEEP_TINY = dict(stages=(StageSpec(8, 1, 3, 1, 1), StageSpec(16, 1, 3, 2, 4),
+                         StageSpec(16, 1, 3, 2, 4), StageSpec(24, 1, 3, 2, 4)))
+
+
+def finetune_case(norm, config_over):
+    """The config, a checkpoint two train steps in, and three batches of
+    four 16x16 images."""
+    cfg = ModelConfig.tiny(norm=NormSpec(norm), **config_over)
+    x, y = blob_dataset(12, size=16, classes=cfg.num_classes, seed=20)
+    batches = as_batches(x, y, 4)
+    net = build_model(cfg, make_rng(20))
+    ckpt = train.train_loop(net, batches, train.TrainRecipe(global_batch=4), seed=0, max_steps=2)
+    return cfg, ckpt, batches
+
+
+@pytest.mark.parametrize("last_k", [1, 2, 3])
+@pytest.mark.parametrize("norm", ["ln", "gn", "bn"])
+@pytest.mark.parametrize("config_over", [{}, DEEP_TINY], ids=["tiny", "deep"])
+def test_finetune_matches_naive_loop_bit_for_bit(config_over, norm, last_k):
+    cfg, ckpt, batches = finetune_case(norm, config_over)
+    recipe = train.FinetuneRecipe(scope=f"last-{last_k}", epochs=2, batch=4)
+    net = build_model(cfg, make_rng(1))
+    got = train.finetune(net, ckpt, recipe, batches).state
+    want = naive_finetune(build_model(cfg, make_rng(1)), ckpt, last_k, 2, recipe.initial_lr, batches)
+    assert set(got) == set(want)
+    params = set(net.params())
+    for name in params:
+        assert np.array_equal(got[name], want[name]), name
+    buffers = set(got) - params
+    assert bool(buffers) == (norm == "bn")
+    if not buffers:
+        return
+    # Batch norm: running statistics inside the scope move every step as in
+    # the naive loop; outside it they move once per distinct batch, as one
+    # epoch of the naive loop moves them.
+    one_epoch = naive_finetune(build_model(cfg, make_rng(1)), ckpt, last_k, 1,
+                               recipe.initial_lr, batches)
+    prefixes = tuple(net.scope_prefixes(last_k))
+    frozen = {name for name in buffers if not name.startswith(prefixes)}
+    assert bool(frozen) == (last_k < 3 or config_over is DEEP_TINY)
+    for name in buffers - frozen:
+        assert np.array_equal(got[name], want[name]), name
+    for name in frozen:
+        assert np.array_equal(got[name], one_epoch[name]), name
+    if frozen:  # and the naive loop's second epoch would have moved them
+        assert not all(np.array_equal(got[name], want[name]) for name in frozen)
+
+
+class _Counted:
+    """A batch that records its position each time it is unpacked."""
+
+    def __init__(self, pulls, index, batch):
+        self.pulls, self.index, self.batch = pulls, index, batch
+
+    def __iter__(self):
+        self.pulls.append(self.index)
+        return iter(self.batch)
+
+
+def test_finetune_unpacks_each_batch_once_per_step(tmp_path):
+    cfg, ckpt, batches = finetune_case("ln", {})
+    pulls = []
+    data = [_Counted(pulls, i, batch) for i, batch in enumerate(batches)]
+    recipe = train.FinetuneRecipe(scope="last-2", epochs=3, batch=4)
+    log = tmp_path / "log.csv"
+    train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, data, log_path=log)
+    assert pulls == [0, 1, 2] * 3
+    assert len(log.read_text().splitlines()) == 1 + len(pulls)
+
+
+def test_finetune_stops_on_divergence():
+    cfg, ckpt, batches = finetune_case("ln", {})
+    recipe = train.FinetuneRecipe(scope="last-1", epochs=1, batch=4, initial_lr=1e200)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite loss"):
+        train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, batches)
