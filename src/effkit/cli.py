@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import verify as verify_mod
 from .data import as_batches, blob_dataset
 from .model import (
@@ -37,9 +35,7 @@ from .resolution import (
 from .tensor import make_rng
 from .train import Checkpoint, FinetuneRecipe, TrainRecipe, finetune, train_loop
 
-GLOBAL_DEFAULTS = {"seed": 0, "out": "effkit_out", "precision": "f64"}
-
-_MODEL_KEYS = ("size", "group_size", "expansion", "norm", "gn_groups", "proxy", "classes")
+GLOBAL_DEFAULTS = {"seed": 0, "out": "effkit_out"}
 
 SUB_DEFAULTS = {
     "count": {
@@ -79,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random seed (default 0)")
     shared.add_argument("--out", default=argparse.SUPPRESS,
                         help="output directory (default effkit_out)")
-    shared.add_argument("--precision", choices=["f32", "f64"], default=argparse.SUPPRESS,
-                        help="input-data precision (default f64)")
     parser = argparse.ArgumentParser(
         prog="effkit",
         parents=[shared],
@@ -200,8 +194,6 @@ def _synthetic_batches(eff: dict, classes: int, batch: int):
     x, y = blob_dataset(
         eff["samples"], size=eff["image_size"], classes=classes, seed=eff["seed"]
     )
-    if eff["precision"] == "f32":
-        x = x.astype(np.float32)
     return as_batches(x, y, batch)
 
 

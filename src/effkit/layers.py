@@ -17,7 +17,6 @@ from .norms import (
     Activation,
     NormSpec,
     QuadratureRule,
-    batch_moments,
     get_activation,
     normalize,
     normalize_backward,
@@ -184,19 +183,16 @@ class NormAct(Layer):
             self.running_var = self.add_buffer("running_var", np.ones(channels))
 
     def forward(self, x, train=True):
-        if self.spec.kind == "bn":
-            if train:
-                y, ncache = normalize(x, self.spec)
-                mean, var = batch_moments(x)
-                m = self.BN_MOMENTUM
-                self.running_mean *= m
-                self.running_mean += (1.0 - m) * mean
-                self.running_var *= m
-                self.running_var += (1.0 - m) * var
-            else:
-                y, ncache = normalize(x, self.spec, stats=(self.running_mean, self.running_var))
-        else:
-            y, ncache = normalize(x, self.spec)
+        bn = self.spec.kind == "bn"
+        stats = (self.running_mean, self.running_var) if bn and not train else None
+        y, ncache = normalize(x, self.spec, stats=stats)
+        if bn and train:
+            mean, var = ncache["moments"]
+            m = self.BN_MOMENTUM
+            self.running_mean *= m
+            self.running_mean += (1.0 - m) * mean
+            self.running_var *= m
+            self.running_var += (1.0 - m) * var
         if self.proxy:
             z, acache = pn_activation(
                 y, self.gamma, self.beta, self.proxy_beta, self.proxy_gamma, self.act, self.quad

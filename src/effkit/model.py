@@ -15,7 +15,7 @@ FLOP and roofline accounting without building anything.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -130,9 +130,6 @@ class ModelConfig:
         )
         defaults.update(over)
         return cls(**defaults)
-
-    def with_overrides(self, **over) -> "ModelConfig":
-        return replace(self, **over)
 
 
 def config_to_dict(config: ModelConfig) -> dict:

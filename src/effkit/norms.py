@@ -1,18 +1,20 @@
 """Normalization and proxy-normalized activations.
 
-Two normalization families share one interface:
+Two normalization families share one formula and one backward:
 
-* batch normalization: per-channel moments over batch and spatial axes;
+* batch normalization: per-channel moments over batch and spatial axes, or
+  fixed running moments in evaluation mode;
 * batch-independent norms (layer, group, instance): per-sample moments over
   channel groups, expressed as a single grouped reduction with 1, ``groups``
   or ``C`` groups.
 
-After normalizing, a channel affine (gamma, beta) feeds the activation. The
-proxy-normalized variant additionally recenters and rescales the activation
-output by its moments under a Gaussian proxy variable distributed as
-N(proxy_beta, (1 + proxy_gamma)^2), evaluated per channel with Gauss-Hermite
-quadrature. All forwards return an opaque cache consumed by the matching
-backward.
+Only the reduction axes differ; batch norm's cache also carries the (C,)
+moments it used, which feed the running statistics. After normalizing, a
+channel affine (gamma, beta) feeds the activation. The proxy-normalized
+variant is that scaled activation, recentered and rescaled by its moments
+under a Gaussian proxy variable distributed as N(proxy_beta,
+(1 + proxy_gamma)^2), evaluated per channel with Gauss-Hermite quadrature.
+All forwards return an opaque cache consumed by the matching backward.
 """
 
 from __future__ import annotations
@@ -151,51 +153,42 @@ class QuadratureRule:
 def normalize(x: np.ndarray, spec: NormSpec, stats=None):
     """Subtract mean, divide by sqrt(var + eps); returns (y, cache).
 
-    For ``bn`` the moments are per channel over batch and spatial axes, or
-    the fixed ``stats=(mean, var)`` pair when given (evaluation mode). For
-    the batch-independent kinds the moments are per sample per channel group.
+    For ``bn`` the moments are per channel over batch and spatial axes
+    (``batch_moments``), or the fixed ``stats=(mean, var)`` pair when given
+    (evaluation mode); the cache keeps the (C,) pair used under
+    ``"moments"``. For the batch-independent kinds the moments are per
+    sample per channel group, over axis 2 of the (B, groups, -1) view.
+    Every kind shares one formula; the cache records the reduction
+    ``"axes"``, and fixed moments make its mode ``"static"``.
     """
     if x.ndim != 4:
         raise ValueError(f"expected a 4-D tensor, got shape {x.shape}")
-    b, c, h, w = x.shape
+    shape = x.shape
     if spec.kind == "bn":
-        if stats is not None:
-            mean, var = stats
-            mean = mean.reshape(1, c, 1, 1)
-            inv = 1.0 / np.sqrt(var.reshape(1, c, 1, 1) + spec.epsilon)
-            y = (x - mean) * inv
-            return y, {"mode": "static", "inv": inv}
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
-        inv = 1.0 / np.sqrt(var + spec.epsilon)
-        y = (x - mean) * inv
-        cache = {"mode": "bn", "y": y, "inv": inv}
-        return y, cache
-    g = spec.resolved_groups(c)
-    xg = x.reshape(b, g, -1)
-    mean = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
+        moments = batch_moments(x) if stats is None else stats
+        mean, var = (m.reshape(1, shape[1], 1, 1) for m in moments)
+        mode = "dynamic" if stats is None else "static"
+        cache = {"mode": mode, "axes": (0, 2, 3), "moments": moments}
+    else:
+        x = x.reshape(shape[0], spec.resolved_groups(shape[1]), -1)
+        mean = x.mean(axis=2, keepdims=True)
+        var = x.var(axis=2, keepdims=True)
+        cache = {"mode": "dynamic", "axes": 2}
     inv = 1.0 / np.sqrt(var + spec.epsilon)
-    yg = (xg - mean) * inv
-    cache = {"mode": "grouped", "y": yg, "inv": inv, "shape": x.shape}
-    return yg.reshape(x.shape), cache
+    y = (x - mean) * inv
+    cache.update(y=y, inv=inv)
+    return y.reshape(shape), cache
 
 
 def normalize_backward(cache, dy: np.ndarray) -> np.ndarray:
-    mode = cache["mode"]
-    if mode == "static":
-        return dy * cache["inv"]
-    if mode == "bn":
-        y, inv = cache["y"], cache["inv"]
-        dmean = dy.mean(axis=(0, 2, 3), keepdims=True)
-        dproj = (dy * y).mean(axis=(0, 2, 3), keepdims=True)
-        return inv * (dy - dmean - y * dproj)
-    y, inv = cache["y"], cache["inv"]
+    inv = cache["inv"]
+    if cache["mode"] == "static":
+        return dy * inv
+    y, axes = cache["y"], cache["axes"]
     dg = dy.reshape(y.shape)
-    dmean = dg.mean(axis=2, keepdims=True)
-    dproj = (dg * y).mean(axis=2, keepdims=True)
-    dx = inv * (dg - dmean - y * dproj)
-    return dx.reshape(cache["shape"])
+    dmean = dg.mean(axis=axes, keepdims=True)
+    dproj = (dg * y).mean(axis=axes, keepdims=True)
+    return (inv * (dg - dmean - y * dproj)).reshape(dy.shape)
 
 
 def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,60 +298,30 @@ def pn_activation(
     epsilon_tilde: float = EPSILON_TILDE,
 ):
     """z = (act(gamma*y + beta) - m) / sqrt(v + eps~) with (m, v) the proxy
-    moments; returns (z, cache)."""
-    c = y.shape[1]
-    gs = gamma.reshape(1, c, 1, 1)
-    a = gs * y + beta.reshape(1, c, 1, 1)
-    z0 = act.fn(a)
-    m, var = proxy_moments(gamma, beta, proxy_beta, proxy_gamma, act, quad)
+    moments: ``scaled_activation`` recentered and rescaled; returns
+    (z, cache)."""
+    z0, cache = scaled_activation(y, gamma, beta, act)
+    proxy = (gamma, beta, proxy_beta, proxy_gamma, act, quad)
+    m, var = proxy_moments(*proxy)
     s = np.sqrt(var + epsilon_tilde)
+    c = y.shape[1]
     z = (z0 - m.reshape(1, c, 1, 1)) / s.reshape(1, c, 1, 1)
-    cache = {
-        "y": y,
-        "a": a,
-        "z": z,
-        "s": s,
-        "gamma": gamma,
-        "beta": beta,
-        "proxy_beta": proxy_beta,
-        "proxy_gamma": proxy_gamma,
-        "act": act,
-        "quad": quad,
-    }
+    cache.update(z=z, s=s, proxy=proxy)
     return z, cache
 
 
 def pn_activation_backward(cache, dz: np.ndarray):
     """Returns (dy, dgamma, dbeta, dproxy_beta, dproxy_gamma).
 
-    The proxy moments depend on the affine and proxy parameters, so their
-    quadrature derivatives feed the parameter gradients alongside the usual
-    data terms.
+    The data terms are ``scaled_activation_backward`` of dz / s. The proxy
+    moments depend on the affine and proxy parameters, so their quadrature
+    derivatives add to the parameter gradients.
     """
-    act = cache["act"]
-    c = dz.shape[1]
-    s = cache["s"].reshape(1, c, 1, 1)
-    da = (dz / s) * act.deriv(cache["a"])
-    dy = da * cache["gamma"].reshape(1, c, 1, 1)
-    dgamma = (da * cache["y"]).sum(axis=(0, 2, 3))
-    dbeta = da.sum(axis=(0, 2, 3))
-
+    s = cache["s"]
+    dy, dgamma, dbeta = scaled_activation_backward(cache, dz / s.reshape(1, -1, 1, 1))
     # z = (z0 - m)/s: dL/dm = -sum(dz)/s and dL/dvar = -sum(dz * z)/(2 s^2).
-    s1 = dz.sum(axis=(0, 2, 3))
-    s2 = (dz * cache["z"]).sum(axis=(0, 2, 3))
-    dl_dm = -s1 / cache["s"]
-    dl_dvar = -s2 / (2.0 * cache["s"] ** 2)
-
-    _, _, dm, dvar = proxy_moment_grads(
-        cache["gamma"],
-        cache["beta"],
-        cache["proxy_beta"],
-        cache["proxy_gamma"],
-        act,
-        cache["quad"],
-    )
-    dgamma += dl_dm * dm["gamma"] + dl_dvar * dvar["gamma"]
-    dbeta += dl_dm * dm["beta"] + dl_dvar * dvar["beta"]
-    dproxy_beta = dl_dm * dm["proxy_beta"] + dl_dvar * dvar["proxy_beta"]
-    dproxy_gamma = dl_dm * dm["proxy_gamma"] + dl_dvar * dvar["proxy_gamma"]
-    return dy, dgamma, dbeta, dproxy_beta, dproxy_gamma
+    dl_dm = -dz.sum(axis=(0, 2, 3)) / s
+    dl_dvar = -(dz * cache["z"]).sum(axis=(0, 2, 3)) / (2.0 * s**2)
+    _, _, dm, dvar = proxy_moment_grads(*cache["proxy"])
+    d = {name: dl_dm * dm[name] + dl_dvar * dvar[name] for name in dm}
+    return dy, dgamma + d["gamma"], dbeta + d["beta"], d["proxy_beta"], d["proxy_gamma"]

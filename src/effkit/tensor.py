@@ -49,13 +49,3 @@ def read_tensor(fileobj: BinaryIO) -> np.ndarray:
     if data.size != count:
         raise ValueError("truncated tensor payload")
     return data.reshape(shape).astype(np.float64)
-
-
-def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_tensor(fh, arr)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return read_tensor(fh)

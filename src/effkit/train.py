@@ -399,6 +399,7 @@ def train_loop(
         raise ValueError("no training batches")
     rng = make_rng(seed)
     params = model.params()
+    grads = model.grads()  # backward accumulates into these arrays in place
     state = init_rmsprop_state(params)
     decay_names = frozenset(decay_param_names(model))
     ema: dict[str, np.ndarray] = {}
@@ -413,11 +414,12 @@ def train_loop(
             targets = _as_distribution(y, num_classes)
             if recipe.augment:
                 x, targets = augment_batch(x, targets, rng, recipe)
-            model.zero_grads()
+            for g in grads.values():
+                g[...] = 0.0
             loss, acc = _run_batch(model, x, targets, recipe.label_smoothing, micro_batch_size)
             log_rows.append((epoch, step, lr, loss, acc))
             _check_loss(loss, step, log_path, log_rows)
-            rmsprop_step(params, model.grads(), state, recipe, lr, decay_names)
+            rmsprop_step(params, grads, state, recipe, lr, decay_names)
             step += 1
             if max_steps is not None and step >= max_steps:
                 done = True

@@ -66,9 +66,11 @@ def within_published(value: float, printed: float, rel: float = 0.05, ulp: float
     return abs(value - printed) <= rel * printed + 0.5 * ulp
 
 
-def _fd_check(value_fn, array: np.ndarray, analytic: np.ndarray, rng, samples: int = 12) -> float:
-    """Max relative error of `analytic` vs central differences of value_fn
-    with respect to `array`, probed at sampled coordinates."""
+def fd_check(value_fn, array: np.ndarray, analytic: np.ndarray, rng, samples: int = 12) -> float:
+    """Max relative error of `analytic` vs central differences of the
+    zero-argument `value_fn` with respect to `array`, probed at `samples`
+    coordinates drawn from `rng` without replacement. The ``verify`` suite
+    and the acceptance tests share it."""
     flat = array.reshape(-1)
     grad = analytic.reshape(-1)
     count = min(samples, flat.size)
@@ -101,8 +103,8 @@ def suite_gradient_check() -> tuple[bool, str]:
 
     _, cache = conv_forward(x, w, spec)
     dx, dw = conv_backward(cache, probe)
-    worst = max(worst, _fd_check(conv_loss, x, dx, rng))
-    worst = max(worst, _fd_check(conv_loss, w, dw, rng))
+    worst = max(worst, fd_check(conv_loss, x, dx, rng))
+    worst = max(worst, fd_check(conv_loss, w, dw, rng))
 
     # Proxy-normalized activation over a layer norm.
     layer = NormAct(4, NormSpec("ln"), "swish", proxy=True)
@@ -115,13 +117,13 @@ def suite_gradient_check() -> tuple[bool, str]:
     layer.zero_grads()
     layer.forward(xn, train=True)
     dxn = layer.backward(probe_n)
-    worst = max(worst, _fd_check(norm_loss, xn, dxn, rng))
+    worst = max(worst, fd_check(norm_loss, xn, dxn, rng))
     for pname in ("gamma", "beta", "proxy_beta", "proxy_gamma"):
         layer.zero_grads()
         layer.forward(xn, train=True)
         layer.backward(probe_n)
         worst = max(
-            worst, _fd_check(norm_loss, layer._params[pname], layer._grads[pname], rng)
+            worst, fd_check(norm_loss, layer._params[pname], layer._grads[pname], rng)
         )
 
     # Squeeze-excite and a classifier.
@@ -135,7 +137,7 @@ def suite_gradient_check() -> tuple[bool, str]:
     se.zero_grads()
     se.forward(xs, train=True)
     dxs = se.backward(probe_s)
-    worst = max(worst, _fd_check(se_loss, xs, dxs, rng))
+    worst = max(worst, fd_check(se_loss, xs, dxs, rng))
 
     lin = Linear(5, 3, rng)
     xl = rng.normal(size=(4, 5))
@@ -147,8 +149,8 @@ def suite_gradient_check() -> tuple[bool, str]:
     lin.zero_grads()
     lin.forward(xl, train=True)
     dxl = lin.backward(probe_l)
-    worst = max(worst, _fd_check(lin_loss, xl, dxl, rng))
-    worst = max(worst, _fd_check(lin_loss, lin.w, lin._grads["weight"], rng))
+    worst = max(worst, fd_check(lin_loss, xl, dxl, rng))
+    worst = max(worst, fd_check(lin_loss, lin.w, lin._grads["weight"], rng))
 
     return worst <= REL_TOL, f"max relative gradient error {worst:.2e} (tolerance {REL_TOL:.0e})"
 

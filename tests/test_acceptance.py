@@ -32,34 +32,10 @@ from effkit.train import (
     lr_at,
     train_loop,
 )
-from effkit.verify import TABLE2, within_published
-
-FD_STEP = 1e-5
+from effkit.verify import TABLE2, fd_check, within_published
 
 
 # ------------------------------------------------------------- fd harness
-
-def rel_error(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-
-
-def fd_worst(loss, array, analytic, rng, probes=5):
-    """Worst relative error of `analytic` vs central differences of the
-    zero-argument `loss`, probed at sampled coordinates of `array`."""
-    flat = array.reshape(-1)
-    grad = analytic.reshape(-1)
-    idx = rng.choice(flat.size, size=min(probes, flat.size), replace=False)
-    worst = 0.0
-    for i in idx:
-        keep = flat[i]
-        flat[i] = keep + FD_STEP
-        up = loss()
-        flat[i] = keep - FD_STEP
-        down = loss()
-        flat[i] = keep
-        worst = max(worst, rel_error(grad[i], (up - down) / (2.0 * FD_STEP)))
-    return worst
-
 
 def check_layer(layer, x, rng, probes=5):
     """FD-check the input gradient and every parameter gradient of `layer`
@@ -76,7 +52,7 @@ def check_layer(layer, x, rng, probes=5):
         layer.forward(x, train=True)
         dx = layer.backward(probe)
         analytic = dx if name == "<input>" else layer.grads()[name]
-        worst = max(worst, fd_worst(loss, arr, analytic, rng, probes))
+        worst = max(worst, fd_check(loss, arr, analytic, rng, probes))
     return worst
 
 

@@ -126,6 +126,24 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in stderr
 
 
+def test_config_with_retired_precision_key_exits_2(tmp_path, capsys):
+    # config.json files written before --precision was removed carry the key.
+    old = tmp_path / "old"
+    rc, _, _ = run(["train", "--steps", "1", "--samples", "16", "--out", str(old)], capsys)
+    assert rc == 0
+    config = read_config(old)
+    config["precision"] = "f64"
+    (old / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "again"
+    rc, _, stderr = run(["train", "--config", str(old / "config.json"), "--out", str(out)], capsys)
+    assert rc == 2
+    assert "unknown config keys: ['precision']" in stderr
+    assert not (out / "checkpoint.bin").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", "f32", "count"])
+    assert exc.value.code == 2
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc, _, stderr = run(
         ["count", "--config", str(tmp_path / "absent.json"),

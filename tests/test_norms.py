@@ -113,6 +113,21 @@ def test_bn_static_stats_mode():
     assert cache["mode"] == "static"
 
 
+def test_bn_given_batch_moments_equals_train_mode():
+    # Evaluation with the batch's own moments takes the same path as training.
+    rng = make_rng(12)
+    spec = norms.NormSpec("bn")
+    for shape in ((1, 1, 1, 1), (2, 3, 5, 5), (4, 8, 1, 1), (3, 16, 7, 4), (8, 5, 2, 9)):
+        x = rng.normal(size=shape) * rng.uniform(0.1, 10.0) + rng.normal()
+        moments = norms.batch_moments(x)
+        y_eval, eval_cache = norms.normalize(x, spec, stats=moments)
+        y_train, train_cache = norms.normalize(x, spec)
+        assert np.array_equal(y_eval, y_train), shape
+        assert np.array_equal(eval_cache["inv"], train_cache["inv"]), shape
+        for got, want in zip(train_cache["moments"], moments):
+            assert np.array_equal(got, want), shape
+
+
 def test_ln_idempotent_on_standardized_sample():
     rng = make_rng(3)
     x = rng.normal(size=(1, 4, 6, 6))
