@@ -21,6 +21,13 @@ WORKLOADS = [
     ("grouped k3 G=16", ConvSpec(64, 64, 3, group_size=16), 28, 8),
     ("grouped k5 G=16 s2", ConvSpec(96, 96, 5, stride=2, group_size=16), 28, 8),
     ("dense k3", ConvSpec(32, 64, 3), 28, 8),
+    # b0 @64 batch 4 shapes: the strided phase split of dx, both sides of
+    # the weight-gradient fold, and the head.
+    ("b0 dw 144ch@16 k5 s2", ConvSpec(144, 144, 5, stride=2, group_size=1), 16, 4),
+    ("b0 G=16 448ch@4 k5", ConvSpec(448, 448, 5, group_size=16), 4, 4),
+    ("b0 G=16 768ch@2 k5", ConvSpec(768, 768, 5, group_size=16), 2, 4),
+    ("b0 dw 1152ch@2 k5", ConvSpec(1152, 1152, 5, group_size=1), 2, 4),
+    ("b0 head 320->1280@2", ConvSpec(320, 1280, 1), 2, 4),
 ]
 
 

@@ -6,14 +6,30 @@ laid out (C_out, G, k, k). Every convolution, 1x1 included, unrolls the
 input into columns (im2col, Chellapilla et al. 2006) and multiplies them
 with ``np.matmul`` stacked over (sample, group).
 
+The input gradient is itself one forward convolution, the transposed
+convolution of Dumoulin & Visin 2016 ("A guide to convolution
+arithmetic"): dy convolved with the flipped weights, C_in and C_out
+swapped within each group. A stride s is split into s*s phases: the
+kernel is zero-padded to s*ceil(k/s) taps and cut into s*s sub-kernels,
+which become extra output channels of one stride-1 convolution; the
+phases are then interleaved (depth to space). Only the rows and columns
+of dx that lie inside the unpadded input are computed.
+
+The weight gradient picks its GEMM by shape. Where the output field is
+small (OH*OW <= 16) and each group has more than one output, the batch
+is folded into the products' inner axis; elsewhere there is one product
+per (sample, group), summed over samples.
+
 Per-sample results are bit-identical whatever batch a sample sits in. The
 rule that keeps them so: never fold the batch axis into a GEMM dimension.
 BLAS may round one row or column of a product differently when the
 product's size changes, so ``x @ w`` over a flattened batch, or
 ``np.einsum(..., optimize=True)`` (which lowers to such a product), makes a
 sample's output depend on its batch. A ``matmul`` stacked over the batch
-runs one product per sample whose shape is fixed by the layer. Only the
-weight gradient, a sum over the batch by definition, combines samples.
+runs one product per sample whose shape is fixed by the layer. The input
+gradient, being a forward convolution, keeps the rule by construction.
+Only the weight gradient, a sum over the batch by definition, combines
+samples, and only it may fold the batch.
 """
 
 from __future__ import annotations
@@ -144,33 +160,104 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
     y = y.reshape(
         x.shape[0], spec.out_channels, spec.out_size(x.shape[2]), spec.out_size(x.shape[3])
     )
-    cache = {"xp": xp, "weight": weight, "spec": spec, "in_shape": x.shape}
+    cache = {"xp": xp, "weight": weight, "spec": spec, "in_shape": x.shape, "out_shape": y.shape}
     return y, cache
+
+
+def folds_batch_for_dw(spec: ConvSpec, positions: int) -> bool:
+    """Whether the weight gradient folds the batch into its GEMMs' inner axis.
+
+    Per (sample, group) the product has inner size ``positions`` = OH*OW,
+    only 4 or 16 on late stages, where BLAS is far from its peak; one
+    product per group over all samples is then faster. A depthwise layer
+    (one output per group) gains nothing from it, its products being
+    matrix-vector either way.
+    """
+    return positions <= 16 and spec.out_channels // spec.groups > 1
+
+
+def _transposed_conv(weight: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, ConvSpec]:
+    """Weights and geometry of the stride-1 convolution of dy that yields
+    every stride phase of dx.
+
+    With T = ceil(k/s), the kernel is zero-padded to s*T taps per axis and
+    split into s*s sub-kernels of T*T taps, flipped; output channel
+    c*s*s + ry*s + rx holds the rows ry::s, columns rx::s of dx channel c.
+    Groups keep their number, with the roles of C_in and C_out swapped:
+    (C_out, G, k, k) becomes (C_in*s*s, C_out/groups, T, T).
+    """
+    k, s = spec.kernel, spec.stride
+    t = -(-k // s)
+    opg, g = spec.out_channels // spec.groups, spec.resolved_group_size
+    padded = np.zeros((spec.out_channels, g, s * t, s * t))
+    padded[:, :, :k, :k] = weight
+    # (groups, opg, G, T, s, T, s), taps flipped -> (groups, G, s, s, opg, T, T)
+    split = padded.reshape(spec.groups, opg, g, t, s, t, s)[:, :, :, ::-1, :, ::-1, :]
+    wt = split.transpose(0, 2, 4, 6, 1, 3, 5).reshape(spec.in_channels * s * s, opg, t, t)
+    tspec = ConvSpec(spec.out_channels, spec.in_channels * s * s, t, group_size=opg,
+                     padding="valid")
+    return wt, tspec
+
+
+def _phase_span(spec: ConvSpec, size: int) -> tuple[int, int, int]:
+    """(first, end, offset) along one axis of dx.
+
+    Phase row m holds rows m*s .. m*s + s-1 of the padded input's gradient.
+    Rows first..end-1 are the ones that overlap the unpadded input, which
+    starts ``offset`` rows into their interleave.
+    """
+    s = spec.stride
+    before, _ = spec.pad_amounts(size)
+    first, end = before // s, -(-(before + size) // s)
+    return first, end, before - first * s
+
+
+def _weight_grad(xp: np.ndarray, dy: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    b, _, oh, ow = dy.shape
+    groups, opg = spec.groups, spec.out_channels // spec.groups
+    cols = _columns(xp, spec)
+    dg = dy.reshape(b, groups, opg, oh * ow)
+    if folds_batch_for_dw(spec, oh * ow):
+        # (groups, opg, B*OH*OW) @ (groups, B*OH*OW, G*k*k): the sum over
+        # samples happens inside each product.
+        dw = np.matmul(
+            dg.transpose(1, 2, 0, 3).reshape(groups, opg, -1),
+            cols.transpose(1, 0, 3, 2).reshape(groups, b * oh * ow, -1),
+        )
+    else:
+        # One product per (sample, group), then the sum over samples.
+        dw = np.matmul(dg, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+    return dw.reshape(spec.weight_shape)
+
+
+def _input_grad(dy: np.ndarray, weight: np.ndarray, spec: ConvSpec, in_shape) -> np.ndarray:
+    """The transposed convolution: one forward convolution of dy that yields
+    every stride phase of dx, over only the rows and columns of dx that lie
+    in the unpadded input, then the phases interleaved (depth to space)."""
+    b, c, h, w = in_shape
+    s = spec.stride
+    wt, tspec = _transposed_conv(weight, spec)
+    t = tspec.kernel
+    r0, r1, roff = _phase_span(spec, h)
+    c0, c1, coff = _phase_span(spec, w)
+    # Phase row m reads dy rows m-t+1 .. m, so dy is zero-padded to cover
+    # rows r0-t+1 .. r1-1; for every geometry r0 < t and r1 >= OH.
+    pads = ((0, 0), (0, 0), (t - 1 - r0, r1 - dy.shape[2]), (t - 1 - c0, c1 - dy.shape[3]))
+    window = np.pad(dy, pads) if any(map(any, pads)) else dy
+    phases, _ = conv_forward(window, wt, tspec)
+    mh, mw = r1 - r0, c1 - c0
+    dxp = phases.reshape(b, c, s, s, mh, mw).transpose(0, 1, 4, 2, 5, 3)
+    dxp = dxp.reshape(b, c, mh * s, mw * s)
+    return np.ascontiguousarray(dxp[:, :, roff : roff + h, coff : coff + w])
 
 
 def conv_backward(cache, dy: np.ndarray):
     """Returns (dx, dweight)."""
+    if dy.shape != cache["out_shape"]:
+        raise ValueError(
+            f"dy shape {dy.shape} does not match the forward output shape {cache['out_shape']}"
+        )
     spec: ConvSpec = cache["spec"]
-    xp, weight = cache["xp"], cache["weight"]
     dy = np.ascontiguousarray(dy, dtype=np.float64)
-    b, _, hp, wp = xp.shape
-    k, s = spec.kernel, spec.stride
-    oh, ow = dy.shape[2], dy.shape[3]
-    dg = dy.reshape(b, spec.groups, spec.out_channels // spec.groups, oh * ow)
-    # The weight gradient is a sum over the batch anyway: one product per
-    # (sample, group), then the sum over samples.
-    dw = np.matmul(dg, _columns(xp, spec).transpose(0, 1, 3, 2)).sum(axis=0)
-    dw = dw.reshape(spec.weight_shape)
-    # dx: the transposed per-(sample, group) GEMM, then col2im over the taps
-    # in a fixed order.
-    dcols = np.matmul(_grouped_weight(weight, spec).transpose(0, 2, 1), dg)
-    dcols = dcols.reshape(b, spec.in_channels, k, k, oh, ow)
-    dxp = np.zeros((b, spec.in_channels, hp, wp))
-    for ky in range(k):
-        for kx in range(k):
-            dxp[:, :, ky : ky + oh * s : s, kx : kx + ow * s : s] += dcols[:, :, ky, kx]
-    in_shape = cache["in_shape"]
-    ph, _ = spec.pad_amounts(in_shape[2])
-    pw, _ = spec.pad_amounts(in_shape[3])
-    dx = dxp[:, :, ph : ph + in_shape[2], pw : pw + in_shape[3]]
-    return np.ascontiguousarray(dx), dw
+    dw = _weight_grad(cache["xp"], dy, spec)
+    return _input_grad(dy, cache["weight"], spec, cache["in_shape"]), dw

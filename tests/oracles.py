@@ -46,6 +46,38 @@ def naive_grouped_conv(x, w, stride, group_size, pad_top, pad_left, pad_bottom, 
     return y
 
 
+def naive_grouped_conv_backward(x, w, dy, stride, pad_top, pad_left, pad_bottom, pad_right):
+    """Adjoint of naive_grouped_conv: (dx, dw) for the output gradient dy.
+
+    Explicit loops over output positions and kernel taps; each (position,
+    tap) pair scatters dy into the padded input gradient and gathers the
+    weight gradient, vectorized over samples and channels only.
+    """
+    b, c, h, wid = x.shape
+    c_out, g, kh, kw = w.shape
+    groups = c // g
+    out_per_group = c_out // groups
+    oh, ow = dy.shape[2], dy.shape[3]
+    xp = np.zeros((b, c, h + pad_top + pad_bottom, wid + pad_left + pad_right))
+    xp[:, :, pad_top : pad_top + h, pad_left : pad_left + wid] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    xg = xp.reshape(b, groups, g, *xp.shape[2:])
+    dxg = dxp.reshape(xg.shape)
+    wg = w.reshape(groups, out_per_group, g, kh, kw)
+    dwg = dw.reshape(wg.shape)
+    dyg = dy.reshape(b, groups, out_per_group, oh, ow)
+    for i in range(oh):
+        for j in range(ow):
+            d = dyg[:, :, :, i, j]
+            for ky in range(kh):
+                for kx in range(kw):
+                    r, q = i * stride + ky, j * stride + kx
+                    dxg[:, :, :, r, q] += np.einsum("bno,nog->bng", d, wg[:, :, :, ky, kx])
+                    dwg[:, :, :, ky, kx] += np.einsum("bno,bng->nog", d, xg[:, :, :, r, q])
+    return dxp[:, :, pad_top : pad_top + h, pad_left : pad_left + wid], dw
+
+
 def conv_macs(x_shape, w_shape, stride, pads):
     """Multiply-accumulate count of the naive loop above."""
     b, c, h, wid = x_shape

@@ -1,6 +1,7 @@
 """Grouped convolution (the one numpy im2col path) and padding arithmetic."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from effkit import convs
 from effkit.tensor import make_rng
 
-from oracles import fd_gradient, naive_grouped_conv
+from oracles import fd_gradient, naive_grouped_conv, naive_grouped_conv_backward
 
 
 def oracle_conv(x, w, spec):
@@ -219,6 +220,52 @@ def test_conv_backward_matches_finite_differences(cin, cout, k, stride, gs, padd
 
     assert fd_gradient(loss, x, dx, rng=rng, samples=30) <= 1e-6
     assert fd_gradient(loss, w, dw, rng=rng, samples=30) <= 1e-6
+
+
+@pytest.mark.parametrize("padding", convs.PADDINGS)
+@pytest.mark.parametrize("kind", ["depthwise", "grouped", "dense"])
+def test_conv_backward_matches_loop_oracle(kind, padding):
+    # Every kernel 1-5 and stride 1-3 on odd, even and non-square fields,
+    # small fields included (late-stage 2x3: the crop of dx matters most
+    # there), on both sides of the weight-gradient batch-fold rule.
+    cin, cout, gs = {"depthwise": (6, 6, 1), "grouped": (8, 12, 2), "dense": (4, 6, None)}[kind]
+    rng = make_rng(10)
+    folds, uncovered = set(), 0
+    for k, stride, (h, w) in itertools.product(
+        range(1, 6), (1, 2, 3), ((7, 7), (8, 6), (5, 9), (2, 3))
+    ):
+        if padding == "valid" and min(h, w) < k:
+            continue
+        case = (k, stride, h, w)
+        spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs, padding=padding)
+        x = rng.normal(size=(3, cin, h, w))
+        weight = rng.normal(size=spec.weight_shape)
+        y, cache = convs.conv_forward(x, weight, spec)
+        dy = rng.normal(size=y.shape)
+        dx, dw = convs.conv_backward(cache, dy)
+        pt, pb = spec.pad_amounts(h)
+        pl, pr = spec.pad_amounts(w)
+        ref_dx, ref_dw = naive_grouped_conv_backward(x, weight, dy, stride, pt, pl, pb, pr)
+        np.testing.assert_allclose(dx, ref_dx, atol=1e-12, rtol=0, err_msg=str(case))
+        np.testing.assert_allclose(dw, ref_dw, atol=1e-12, rtol=0, err_msg=str(case))
+        folds.add(convs.folds_batch_for_dw(spec, y.shape[2] * y.shape[3]))
+        # valid padding with (h - k) % stride > 0 leaves trailing input
+        # rows that no output reads: their gradient is zero
+        uncovered += padding == "valid" and (h - k) % stride > 0
+    assert folds == ({False} if kind == "depthwise" else {False, True})
+    assert uncovered > 0 or padding == "same"
+
+
+def test_conv_backward_rejects_wrong_dy_shape():
+    rng = make_rng(11)
+    spec = convs.ConvSpec(4, 6, 3, stride=2, group_size=2)
+    x = rng.normal(size=(2, 4, 7, 7))
+    y, cache = convs.conv_forward(x, rng.normal(size=spec.weight_shape), spec)
+    assert y.shape == (2, 6, 4, 4)
+    for shape in [(2, 6, 3, 4), (2, 6, 4, 5), (1, 6, 4, 4), (2, 4, 4, 4), (2, 6, 16)]:
+        pattern = re.escape(str(shape)) + ".*" + re.escape(str(y.shape))
+        with pytest.raises(ValueError, match=pattern):
+            convs.conv_backward(cache, np.zeros(shape))
 
 
 def test_grouped_backward_equals_stitched_dense_backwards():
