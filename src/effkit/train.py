@@ -26,6 +26,7 @@ from .tensor import make_rng
 
 LR_EXPONENT = -14  # base_lr = B * 2^-14, and rmsprop_decay = 1 - B * 2^-14
 FINETUNE_SCOPES = ("last-1", "last-2", "last-3")
+RMSPROP_BLOCK = 1 << 14  # elements per block of rmsprop_step: 128 KB of float64
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,53 @@ def rmsprop_step(
 ) -> None:
     """One in-place update. Weight decay is added to the gradient for the
     names in ``decay_names`` only; the accumulator tracks the squared
-    (decayed) gradient and the velocity folds in momentum."""
+    (decayed) gradient and the velocity folds in momentum.
+
+    Each array is walked as a flat view in blocks of ``RMSPROP_BLOCK``
+    elements, so the blocks of a parameter, its gradient and its state stay
+    in cache across the whole update instead of streaming through memory
+    once per operation. The per-element operations and their order are
+    those of the whole-array form, so the result is bit-identical to it.
+    Every array must be C-contiguous, since only then is the flat view not
+    a copy.
+    """
     rho = recipe.rmsprop_decay
+    keep = 1.0 - rho
+    momentum = recipe.rmsprop_momentum
+    delta = recipe.rmsprop_delta
+    wd = recipe.weight_decay
+    buf_a = np.empty(RMSPROP_BLOCK)
+    buf_b = np.empty(RMSPROP_BLOCK)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
-        if name in decay_names:
-            g = g + recipe.weight_decay * p
         acc = state[f"acc/{name}"]
         vel = state[f"vel/{name}"]
-        acc *= rho
-        acc += (1.0 - rho) * g * g
-        vel *= recipe.rmsprop_momentum
-        vel += lr * g / np.sqrt(acc + recipe.rmsprop_delta)
-        p -= vel
+        for label, arr in (("param", p), ("grad", g), ("acc", acc), ("vel", vel)):
+            if not arr.flags.c_contiguous:
+                raise ValueError(f"{name}: {label} array is not C-contiguous")
+        decayed = name in decay_names
+        p, g, acc, vel = p.reshape(-1), g.reshape(-1), acc.reshape(-1), vel.reshape(-1)
+        for lo in range(0, p.size, RMSPROP_BLOCK):
+            hi = min(lo + RMSPROP_BLOCK, p.size)
+            pb, gb, ab, vb = p[lo:hi], g[lo:hi], acc[lo:hi], vel[lo:hi]
+            a, b = buf_a[: hi - lo], buf_b[: hi - lo]
+            if decayed:  # g + wd * p
+                np.multiply(pb, wd, out=a)
+                np.add(gb, a, out=a)
+                gb = a
+            ab *= rho  # acc = rho * acc + ((1 - rho) * g) * g
+            np.multiply(gb, keep, out=b)
+            b *= gb
+            ab += b
+            vb *= momentum  # vel = momentum * vel + (lr * g) / sqrt(acc + delta)
+            np.add(ab, delta, out=b)
+            np.sqrt(b, out=b)
+            np.multiply(gb, lr, out=a)
+            a /= b
+            vb += a
+            pb -= vb
 
 
 def sgd_step(

@@ -149,6 +149,24 @@ def fd_gradient(value_fn, array, analytic, rng=None, samples=None):
 
 
 # ---------------------------------------------------------------------------
+# activations
+# ---------------------------------------------------------------------------
+
+
+def piecewise_sigmoid(x):
+    """Logistic function in two branches, each calling exp() only on a
+    non-positive argument: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x))
+    below. Never overflows; far tails underflow (to 1 or a subnormal)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Gaussian expectations
 # ---------------------------------------------------------------------------
 
@@ -231,6 +249,24 @@ def rmsprop_reference(param, grads, lr, rho, momentum, delta):
         p = p - vel
         out.append(p)
     return out
+
+
+def rmsprop_whole_array(params, grads, state, rho, momentum, delta, weight_decay, lr,
+                        decay_names=frozenset()):
+    """RMSProp written as whole-array numpy expressions, one pass per
+    operation, in the package's floating-point order; updates params and
+    the ``acc/``/``vel/`` state in place."""
+    for name, p in params.items():
+        g = grads[name]
+        if name in decay_names:
+            g = g + weight_decay * p
+        acc = state[f"acc/{name}"]
+        vel = state[f"vel/{name}"]
+        acc *= rho
+        acc += (1.0 - rho) * g * g
+        vel *= momentum
+        vel += lr * g / np.sqrt(acc + delta)
+        p -= vel
 
 
 def ema_reference(values, decay):

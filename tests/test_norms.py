@@ -12,6 +12,7 @@ from oracles import (
     fd_gradient,
     gaussian_monomial,
     naive_group_moments,
+    piecewise_sigmoid,
     rectified_moments,
 )
 
@@ -238,6 +239,28 @@ def test_sigmoid_stability_and_values():
     assert big[0] == 1.0
     assert big[1] == pytest.approx(0.0, abs=1e-300)
     assert np.isfinite(big).all()
+
+
+def test_sigmoid_never_raises_and_accepts_scalars_and_lists():
+    with np.errstate(all="raise"):
+        tails = norms.sigmoid(np.array([-800.0, 800.0, -1e308, 1e308, -720.0, -709.0]))
+    assert np.isfinite(tails).all()
+    assert tails[1] == tails[3] == 1.0
+    assert tails[0] == tails[2] == 0.0
+    for x in (-800.0, 3.0, np.float64(-2.5), np.array(0.75), [[-1.0, 2.0]], [700, -700]):
+        with np.errstate(all="raise"):
+            got = norms.sigmoid(x)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == np.shape(x)
+        np.testing.assert_allclose(got, piecewise_sigmoid(x), rtol=2e-15, atol=0.0)
+
+
+def test_sigmoid_tails_match_piecewise_reference():
+    x = np.concatenate([np.linspace(-700.0, 700.0, 200_001), [-700.0, -1e-300, 0.0, 700.0]])
+    np.testing.assert_allclose(norms.sigmoid(x), piecewise_sigmoid(x), rtol=2e-15, atol=0.0)
+    far = -np.array([710.0, 720.0, 745.0, 800.0, 1e4, 1e308])
+    got = norms.sigmoid(far)
+    assert ((got >= 0.0) & (got <= 1e-300)).all()
 
 
 def test_activation_derivatives_match_finite_differences():

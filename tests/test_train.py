@@ -12,7 +12,7 @@ from effkit.model import ModelConfig, StageSpec, build_model
 from effkit.norms import NormSpec
 from effkit.tensor import make_rng
 
-from oracles import ema_reference, naive_finetune, rmsprop_reference
+from oracles import ema_reference, naive_finetune, rmsprop_reference, rmsprop_whole_array
 
 
 def tiny_setup(seed=0, **config_over):
@@ -158,6 +158,52 @@ def test_rmsprop_shape_mismatch():
     state = train.init_rmsprop_state(params)
     with pytest.raises(ValueError):
         train.rmsprop_step(params, {"w": np.zeros(4)}, state, recipe, 0.1)
+
+
+@pytest.mark.parametrize("decay", [False, True])
+def test_blocked_rmsprop_is_bit_identical_to_whole_array_update(decay):
+    block = train.RMSPROP_BLOCK
+    shapes = {
+        "one": (1,),
+        "below": (block - 1,),
+        "exact": (block,),
+        "above": (2 * block + 7,),
+        "matrix": (7, 3 * block // 7 + 5),
+        "conv": (40, 4, 5, 5 * block // 800 + 1),
+    }
+    rng = make_rng(4)
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    expected = {name: p.copy() for name, p in params.items()}
+    # No power-of-two factors: a reordered product must change some bits.
+    recipe = train.TrainRecipe(global_batch=64, rmsprop_decay=0.9, weight_decay=0.3)
+    state = train.init_rmsprop_state(params)
+    ref_state = train.init_rmsprop_state(expected)
+    decay_names = set(shapes) if decay else set()
+    for step, lr in enumerate((0.05, 0.03, 0.02)):
+        grads = {name: rng.normal(size=shape) * 10.0**step for name, shape in shapes.items()}
+        train.rmsprop_step(params, grads, state, recipe, lr, decay_names)
+        rmsprop_whole_array(
+            expected, grads, ref_state, recipe.rmsprop_decay, recipe.rmsprop_momentum,
+            recipe.rmsprop_delta, recipe.weight_decay, lr, decay_names,
+        )
+    for name in shapes:
+        assert np.array_equal(params[name], expected[name]), name
+        for key in (f"acc/{name}", f"vel/{name}"):
+            assert np.array_equal(state[key], ref_state[key]), key
+
+
+def test_rmsprop_rejects_non_contiguous_arrays():
+    recipe = train.TrainRecipe(global_batch=64)
+    params = {"w": np.zeros((3, 5)).T}
+    state = train.init_rmsprop_state({"w": np.zeros((5, 3))})
+    with pytest.raises(ValueError, match="w: param"):
+        train.rmsprop_step(params, {"w": np.ones((5, 3))}, state, recipe, 0.1)
+    params = {"w": np.zeros((5, 3))}
+    with pytest.raises(ValueError, match="w: grad"):
+        train.rmsprop_step(params, {"w": np.ones((3, 5)).T}, state, recipe, 0.1)
+    state["vel/w"] = np.zeros((3, 5)).T
+    with pytest.raises(ValueError, match="w: vel"):
+        train.rmsprop_step(params, {"w": np.ones((5, 3))}, state, recipe, 0.1)
 
 
 def test_sgd_step_updates_only_named_subset():
