@@ -1,16 +1,21 @@
-"""Single-file checkpoint container.
+"""Single-file checkpoint container; the only module that knows its layout.
 
-Layout: a little-endian uint64 giving the byte length of a UTF-8 JSON
-index, the index itself, then concatenated tensor blobs in the binary
-format of :mod:`effkit.tensor`. The index maps each tensor name to its
-offset (relative to the start of the blob section), shape and dtype, and
-carries a free-form ``meta`` object. Writes go to a temporary file in the
-target directory followed by an atomic rename.
+Layout, all integers little-endian uint64:
+
+- the byte length of a UTF-8 JSON index, then the index. It maps each
+  tensor name to its ``offset`` (from the end of the index), ``shape`` and
+  ``dtype`` (always ``"f64"``), and carries a free-form ``meta`` object;
+- per tensor, in sorted name order: its rank, its extents, then its
+  row-major ``<f8`` payload, ``8 * (1 + ndim + size)`` bytes in all.
+
+Other float dtypes are widened to float64 on save (losslessly for
+float32). Writes go to a temporary file in the target directory followed
+by an atomic rename. Loading checks each blob's header against the index
+and reads each payload straight into a fresh writeable float64 array.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -18,22 +23,23 @@ import tempfile
 
 import numpy as np
 
-from .tensor import read_tensor, write_tensor
+
+def _header(shape: tuple[int, ...]) -> bytes:
+    return struct.pack(f"<{1 + len(shape)}Q", len(shape), *shape)
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    names = sorted(arrays)
-    blobs = io.BytesIO()
+    # np.array keeps 0-d arrays 0-d (ascontiguousarray would lift them to 1-d)
+    # and copies only what is not already C-ordered little-endian float64.
+    tensors = {
+        name: np.array(arrays[name], dtype="<f8", order="C", copy=None)
+        for name in sorted(arrays)
+    }
     index_tensors = {}
-    for name in names:
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        offset = blobs.tell()
-        write_tensor(blobs, arr)
-        index_tensors[name] = {
-            "offset": offset,
-            "shape": list(arr.shape),
-            "dtype": "f64",
-        }
+    offset = 0
+    for name, arr in tensors.items():
+        index_tensors[name] = {"offset": offset, "shape": list(arr.shape), "dtype": "f64"}
+        offset += 8 * (1 + arr.ndim + arr.size)
     index = {"meta": meta or {}, "tensors": index_tensors}
     index_bytes = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
 
@@ -44,7 +50,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         with os.fdopen(fd, "wb") as fh:
             fh.write(struct.pack("<Q", len(index_bytes)))
             fh.write(index_bytes)
-            fh.write(blobs.getvalue())
+            for arr in tensors.values():
+                fh.write(_header(arr.shape))
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,9 +70,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         base = fh.tell()
         arrays = {}
         for name, entry in index["tensors"].items():
+            shape = tuple(entry["shape"])
             fh.seek(base + entry["offset"])
-            arr = read_tensor(fh)
-            if list(arr.shape) != entry["shape"]:
-                raise ValueError(f"{name}: blob shape {arr.shape} != index {entry['shape']}")
+            header = _header(shape)
+            if fh.read(len(header)) != header:
+                raise ValueError(f"{name}: blob header does not match index shape {list(shape)}")
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{name}: truncated tensor payload")
             arrays[name] = arr
     return arrays, index["meta"]

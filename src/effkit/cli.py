@@ -53,7 +53,7 @@ SUB_DEFAULTS = {
     },
     "train": {
         "size": "tiny", "group_size": 4, "expansion": 4, "norm": "ln",
-        "gn_groups": 4, "proxy": True, "classes": 2, "resolution": None,
+        "gn_groups": 4, "proxy": True, "classes": 2,
         "batch": 8, "epochs": 1, "steps": None, "lr": None, "samples": 256,
         "image_size": 32, "augment": False, "micro_batch": None,
     },
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--csv", action=argparse.BooleanOptionalAction, default=None)
 
     sp = subs.add_parser("train", parents=[shared], help="desk-scale training on synthetic data")
-    add_model_flags(sp)
+    add_model_flags(sp, with_resolution=False)  # training uses --image-size
     sp.add_argument("--batch", type=int, default=None)
     sp.add_argument("--epochs", type=int, default=None)
     sp.add_argument("--steps", type=int, default=None, help="stop after this many steps")

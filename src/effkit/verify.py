@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convs import ConvSpec, conv_backward, conv_forward
-from .layers import Linear, NormAct, SqueezeExcite
+from .convs import ConvSpec
+from .layers import Conv, Linear, NormAct, SqueezeExcite
 from .model import ModelConfig, count_cost
 from .norms import NormSpec, QuadratureRule, get_activation, normalize, pn_activation
 from .resolution import HALF_RESOLUTIONS, half_resolution
@@ -69,8 +69,7 @@ def within_published(value: float, printed: float, rel: float = 0.05, ulp: float
 def fd_check(value_fn, array: np.ndarray, analytic: np.ndarray, rng, samples: int = 12) -> float:
     """Max relative error of `analytic` vs central differences of the
     zero-argument `value_fn` with respect to `array`, probed at `samples`
-    coordinates drawn from `rng` without replacement. The ``verify`` suite
-    and the acceptance tests share it."""
+    coordinates drawn from `rng` without replacement."""
     flat = array.reshape(-1)
     grad = analytic.reshape(-1)
     count = min(samples, flat.size)
@@ -88,70 +87,39 @@ def fd_check(value_fn, array: np.ndarray, analytic: np.ndarray, rng, samples: in
     return worst
 
 
+def check_layer(layer, x, rng, probes=5):
+    """FD-check the input gradient and every parameter gradient of `layer`
+    against its backward pass; returns the worst relative error. The
+    ``verify`` suite and the acceptance tests share it."""
+    probe = rng.normal(size=layer.forward(x, train=True).shape)
+
+    def loss():
+        return float((layer.forward(x, train=True) * probe).sum())
+
+    worst = 0.0
+    arrays = [("<input>", x)] + sorted(layer.params().items())
+    for name, arr in arrays:
+        layer.zero_grads()
+        layer.forward(x, train=True)
+        dx = layer.backward(probe)
+        analytic = dx if name == "<input>" else layer.grads()[name]
+        worst = max(worst, fd_check(loss, arr, analytic, rng, probes))
+    return worst
+
+
 def suite_gradient_check() -> tuple[bool, str]:
     rng = make_rng(11)
-    worst = 0.0
-
-    # Grouped convolution, two groups of 3 over 6 channels.
-    spec = ConvSpec(6, 4, 3, stride=2, group_size=3)
-    x = rng.normal(size=(2, 6, 5, 5))
-    w = rng.normal(size=spec.weight_shape)
-    probe = rng.normal(size=conv_forward(x, w, spec)[0].shape)
-
-    def conv_loss():
-        return float((conv_forward(x, w, spec)[0] * probe).sum())
-
-    _, cache = conv_forward(x, w, spec)
-    dx, dw = conv_backward(cache, probe)
-    worst = max(worst, fd_check(conv_loss, x, dx, rng))
-    worst = max(worst, fd_check(conv_loss, w, dw, rng))
-
-    # Proxy-normalized activation over a layer norm.
-    layer = NormAct(4, NormSpec("ln"), "swish", proxy=True)
-    xn = rng.normal(size=(2, 4, 4, 4))
-    probe_n = rng.normal(size=xn.shape)
-
-    def norm_loss():
-        return float((layer.forward(xn, train=True) * probe_n).sum())
-
-    layer.zero_grads()
-    layer.forward(xn, train=True)
-    dxn = layer.backward(probe_n)
-    worst = max(worst, fd_check(norm_loss, xn, dxn, rng))
-    for pname in ("gamma", "beta", "proxy_beta", "proxy_gamma"):
-        layer.zero_grads()
-        layer.forward(xn, train=True)
-        layer.backward(probe_n)
-        worst = max(
-            worst, fd_check(norm_loss, layer._params[pname], layer._grads[pname], rng)
-        )
-
-    # Squeeze-excite and a classifier.
-    se = SqueezeExcite(4, 2, rng)
-    xs = rng.normal(size=(2, 4, 3, 3))
-    probe_s = rng.normal(size=xs.shape)
-
-    def se_loss():
-        return float((se.forward(xs, train=True) * probe_s).sum())
-
-    se.zero_grads()
-    se.forward(xs, train=True)
-    dxs = se.backward(probe_s)
-    worst = max(worst, fd_check(se_loss, xs, dxs, rng))
-
-    lin = Linear(5, 3, rng)
-    xl = rng.normal(size=(4, 5))
-    probe_l = rng.normal(size=(4, 3))
-
-    def lin_loss():
-        return float((lin.forward(xl, train=True) * probe_l).sum())
-
-    lin.zero_grads()
-    lin.forward(xl, train=True)
-    dxl = lin.backward(probe_l)
-    worst = max(worst, fd_check(lin_loss, xl, dxl, rng))
-    worst = max(worst, fd_check(lin_loss, lin.w, lin._grads["weight"], rng))
-
+    cases = [
+        # grouped convolution, two groups of 3 over 6 channels
+        (Conv(ConvSpec(6, 4, 3, stride=2, group_size=3), rng), (2, 6, 5, 5)),
+        # proxy-normalized activation over a layer norm
+        (NormAct(4, NormSpec("ln"), "swish", proxy=True), (2, 4, 4, 4)),
+        (SqueezeExcite(4, 2, rng), (2, 4, 3, 3)),
+        (Linear(5, 3, rng), (4, 5)),
+    ]
+    worst = max(
+        check_layer(layer, rng.normal(size=shape), rng, probes=12) for layer, shape in cases
+    )
     return worst <= REL_TOL, f"max relative gradient error {worst:.2e} (tolerance {REL_TOL:.0e})"
 
 

@@ -32,28 +32,7 @@ from effkit.train import (
     lr_at,
     train_loop,
 )
-from effkit.verify import TABLE2, fd_check, within_published
-
-
-# ------------------------------------------------------------- fd harness
-
-def check_layer(layer, x, rng, probes=5):
-    """FD-check the input gradient and every parameter gradient of `layer`
-    against its backward pass; returns the worst relative error."""
-    probe = rng.normal(size=layer.forward(x, train=True).shape)
-
-    def loss():
-        return float((layer.forward(x, train=True) * probe).sum())
-
-    worst = 0.0
-    arrays = [("<input>", x)] + sorted(layer.params().items())
-    for name, arr in arrays:
-        layer.zero_grads()
-        layer.forward(x, train=True)
-        dx = layer.backward(probe)
-        analytic = dx if name == "<input>" else layer.grads()[name]
-        worst = max(worst, fd_check(loss, arr, analytic, rng, probes))
-    return worst
+from effkit.verify import TABLE2, check_layer, within_published
 
 
 # ----------------------------------------------------- 1: cost accounting

@@ -1,5 +1,8 @@
 """Checkpoint container format and the trained-state wrapper."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,9 @@ def test_save_load_round_trip(tmp_path):
         "a/weight": rng.normal(size=(4, 2, 3, 3)),
         "b/bias": rng.normal(size=(7,)),
         "scalar": np.array(2.5),
+        "f32": np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4),
+        "transposed": rng.normal(size=(3, 5)).T,
+        "empty": np.zeros((0, 3)),
     }
     path = tmp_path / "ckpt.bin"
     checkpoint.save_checkpoint(path, arrays, meta={"epoch": 3, "note": "x"})
@@ -22,8 +28,31 @@ def test_save_load_round_trip(tmp_path):
     assert meta == {"epoch": 3, "note": "x"}
     assert sorted(back) == sorted(arrays)
     for name, arr in arrays.items():
-        np.testing.assert_array_equal(back[name], arr)
+        assert back[name].shape == arr.shape, name
+        # float32 is widened losslessly, so it compares equal after widening
+        np.testing.assert_array_equal(back[name], arr.astype(np.float64))
         assert back[name].dtype == np.float64
+        assert back[name].flags.writeable, name
+
+
+def _fixed_arrays():
+    grid = np.arange(12.0).reshape(3, 4) / 8
+    return {
+        "block/weight": grid,
+        "block/weight_t": grid.T,
+        "f32": np.linspace(-1, 1, 6, dtype=np.float32),
+        "empty": np.zeros((0, 3)),
+        "scalar": np.array(-2.5),
+    }
+
+
+def test_layout_is_pinned(tmp_path):
+    # Any change to the on-disk layout changes this digest, and files
+    # already written would no longer load.
+    path = tmp_path / "fixed.bin"
+    checkpoint.save_checkpoint(path, _fixed_arrays(), meta={"epoch": 1, "note": "pinned"})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "f519ac43ea51735339cc58e158f6484c6dee84b27c90fcf003b097e230256ed6"
 
 
 def test_save_is_deterministic(tmp_path):
@@ -45,6 +74,18 @@ def test_load_rejects_corruption(tmp_path):
     (tmp_path / "cut.bin").write_bytes(data[:-16])
     with pytest.raises(ValueError):
         checkpoint.load_checkpoint(tmp_path / "cut.bin")
+    # cut inside a float of the payload, and inside the blob header
+    blob = 8 + struct.unpack("<Q", data[:8])[0]
+    for cut in (len(data) - 12, blob + 4):
+        (tmp_path / "mid.bin").write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            checkpoint.load_checkpoint(tmp_path / "mid.bin")
+    # a blob header that disagrees with the index: other extents, other rank
+    for header in (struct.pack("<3Q", 2, 2, 8), struct.pack("<2Q", 1, 16)):
+        bad = data[:blob] + header + data[blob + len(header):]
+        (tmp_path / "bad.bin").write_bytes(bad)
+        with pytest.raises(ValueError, match="w: blob .* index"):
+            checkpoint.load_checkpoint(tmp_path / "bad.bin")
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -144,6 +144,27 @@ def test_config_with_retired_precision_key_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_train_has_no_resolution_option(tmp_path, capsys):
+    # train sizes its images with --image-size; --resolution used to be
+    # accepted and recorded there without effect.
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--resolution", "999", "--steps", "2", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+    old = tmp_path / "old"
+    rc, _, _ = run(["train", "--steps", "1", "--samples", "16", "--out", str(old)], capsys)
+    assert rc == 0
+    config = read_config(old)
+    assert "resolution" not in config
+    config["resolution"] = 999
+    (old / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "again"
+    rc, _, stderr = run(["train", "--config", str(old / "config.json"), "--out", str(out)], capsys)
+    assert rc == 2
+    assert "unknown config keys: ['resolution']" in stderr
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc, _, stderr = run(
         ["count", "--config", str(tmp_path / "absent.json"),

@@ -7,6 +7,7 @@ from effkit import layers
 from effkit.convs import ConvSpec
 from effkit.norms import NormSpec, batch_moments
 from effkit.tensor import make_rng
+from effkit.verify import check_layer
 
 from oracles import fd_gradient
 
@@ -195,3 +196,28 @@ def test_decay_param_names_on_composites():
     root.add_child("se", layers.SqueezeExcite(4, 2, rng))
     names = set(layers.decay_param_names(root))
     assert names == {"conv/weight", "norm/proxy_beta", "norm/proxy_gamma"}
+
+
+class _SkewedLinear(layers.Linear):
+    """A Linear whose backward is off by 0.01 in one gradient."""
+
+    def __init__(self, wrong, rng):
+        super().__init__(5, 3, rng)
+        self.wrong = wrong
+
+    def backward(self, dy):
+        dx = super().backward(dy)
+        if self.wrong == "<input>":
+            return dx + 0.01
+        self._grads[self.wrong] += 0.01
+        return dx
+
+
+@pytest.mark.parametrize("wrong", ["<input>", "weight", "bias"])
+def test_shared_fd_harness_catches_a_wrong_gradient(wrong):
+    # verify's check_layer backs criterion 5 and the gradient suite; it
+    # must see an error in the input gradient and in every parameter's.
+    rng = make_rng(13)
+    x = rng.normal(size=(4, 5))
+    assert check_layer(layers.Linear(5, 3, make_rng(14)), x, rng) <= 1e-6
+    assert check_layer(_SkewedLinear(wrong, make_rng(14)), x, rng) > 1e-3
