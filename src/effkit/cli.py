@@ -164,14 +164,13 @@ def resolve_options(args: argparse.Namespace) -> dict:
 def model_config_from(eff: dict) -> ModelConfig:
     size = str(eff["size"]).lower()
     norm = NormSpec(eff["norm"], groups=eff["gn_groups"])
-    common = dict(num_classes=eff["classes"], norm=norm, proxy=bool(eff["proxy"]))
+    common = dict(group_size=eff["group_size"], expansion=eff["expansion"],
+                  num_classes=eff["classes"], norm=norm, proxy=bool(eff["proxy"]))
     if size == "tiny":
-        return ModelConfig.tiny(group_size=eff["group_size"], **common)
+        return ModelConfig.tiny(**common)
     if size not in VARIANTS:
         raise ValueError(f"unknown size {eff['size']!r}; use b0..b5 or tiny")
-    return ModelConfig.efficientnet(
-        size, group_size=eff["group_size"], expansion=eff["expansion"], **common
-    )
+    return ModelConfig.efficientnet(size, **common)
 
 
 def _resolution_for(eff: dict) -> int:

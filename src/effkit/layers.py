@@ -3,9 +3,10 @@
 Every layer keeps its parameters, accumulated gradients and non-trainable
 buffers in flat dicts; composites expose children under slash-separated
 names so the whole model flattens to a single name -> array mapping.
-Backward accumulates into the gradient arrays (call ``zero_grads`` between
-optimizer steps), which makes gradient accumulation across micro-batches a
-matter of simply not zeroing.
+``Layer.walk`` is the one walk of that tree, and a composite runs its
+children in registration order. Backward accumulates into the gradient
+arrays (call ``zero_grads`` between optimizer steps), which makes gradient
+accumulation across micro-batches a matter of simply not zeroing.
 """
 
 from __future__ import annotations
@@ -55,24 +56,22 @@ class Layer:
 
     # -- flat views ---------------------------------------------------------
 
-    def _walk(self, kind: str) -> dict[str, np.ndarray]:
-        """This layer's ``_<kind>`` dict plus its children's, under
-        slash-separated names. Children are visited through their public
-        ``<kind>()`` method, so a wrapper on that method sees every visit."""
-        out = dict(getattr(self, f"_{kind}"))
+    def walk(self, prefix: str = ""):
+        """Yield ``(prefix, layer)`` for this layer and every descendant in
+        pre-order; ``prefix`` is the layer's slash-separated path plus a
+        trailing slash (empty for this layer)."""
+        yield prefix, self
         for cname, child in self._children.items():
-            for k, v in getattr(child, kind)().items():
-                out[f"{cname}/{k}"] = v
-        return out
+            yield from child.walk(f"{prefix}{cname}/")
 
     def params(self) -> dict[str, np.ndarray]:
-        return self._walk("params")
+        return {p + k: v for p, layer in self.walk() for k, v in layer._params.items()}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return self._walk("grads")
+        return {p + k: v for p, layer in self.walk() for k, v in layer._grads.items()}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        return self._walk("buffers")
+        return {p + k: v for p, layer in self.walk() for k, v in layer._buffers.items()}
 
     def state(self) -> dict[str, np.ndarray]:
         """Parameters plus buffers, the full checkpointable state."""
@@ -92,19 +91,29 @@ class Layer:
             arr[...] = src
 
     def zero_grads(self) -> None:
-        for g in self._walk("grads").values():
+        for g in self.grads().values():
             g[...] = 0.0
 
     # -- compute ------------------------------------------------------------
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        raise NotImplementedError
+    def forward(
+        self, x: np.ndarray, train: bool = True, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Run the children ``[start:stop]`` in registration order; ``x`` is
+        the input of child ``start``. Leaf layers override this."""
+        h = x
+        for child in list(self._children.values())[start:stop]:
+            h = child.forward(h, train)
+        return h
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        return self.forward(x, train=train)
+    def backward(self, dy: np.ndarray, stop: int = 0) -> np.ndarray:
+        """Backward from the last child down to child ``stop``, which must
+        have run forward; returns the gradient of that child's input. The
+        children before ``stop`` accumulate no gradient."""
+        dh = dy
+        for child in reversed(list(self._children.values())[stop:]):
+            dh = child.backward(dh)
+        return dh
 
 
 class Conv(Layer):
@@ -226,9 +235,9 @@ class SqueezeExcite(Layer):
 
     def forward(self, x, train=True):
         pooled = x.mean(axis=(2, 3))
-        a = self.fc1(pooled, train)
+        a = self.fc1.forward(pooled, train)
         h = self._swish.fn(a)
-        logits = self.fc2(h, train)
+        logits = self.fc2.forward(h, train)
         gate = sigmoid(logits)
         self._cache = (x, a, gate)
         return x * gate[:, :, None, None]
@@ -256,15 +265,14 @@ class GlobalAvgPool(Layer):
         return np.broadcast_to(dy[:, :, None, None] / (h * w), (b, c, h, w)).copy()
 
 
-def decay_param_names(layer: Layer, prefix: str = "") -> list[str]:
+def decay_param_names(layer: Layer) -> list[str]:
     """Parameters subject to weight decay: convolution weights and the
     proxy shift/scale of proxy-normalized activations, nothing else."""
     names = []
-    if isinstance(layer, Conv):
-        names.append(prefix + "weight")
-    if isinstance(layer, NormAct) and layer.proxy:
-        names.append(prefix + "proxy_beta")
-        names.append(prefix + "proxy_gamma")
-    for cname, child in layer._children.items():
-        names.extend(decay_param_names(child, f"{prefix}{cname}/"))
+    for prefix, node in layer.walk():
+        if isinstance(node, Conv):
+            names.append(prefix + "weight")
+        if isinstance(node, NormAct) and node.proxy:
+            names.append(prefix + "proxy_beta")
+            names.append(prefix + "proxy_gamma")
     return names

@@ -89,6 +89,10 @@ class ModelConfig:
     activation: str = "swish"
     quad_order: int = 30
 
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be positive, got {self.num_classes}")
+
     @classmethod
     def efficientnet(cls, variant: str, *, group_size: int = 1, expansion: int = 6, **over):
         """A B0..B5 variant; ``expansion`` substitutes every expanding stage's
@@ -117,11 +121,14 @@ class ModelConfig:
         )
 
     @classmethod
-    def tiny(cls, **over):
-        """Two-stage miniature with the same block anatomy, for fast tests."""
+    def tiny(cls, *, expansion: int = 4, **over):
+        """Two-stage miniature with the same block anatomy, for fast tests;
+        ``expansion`` is the ratio of its expanding stage."""
+        if expansion < 1:
+            raise ValueError("expansion must be positive")
         defaults = dict(
             stem_channels=8,
-            stages=(StageSpec(8, 1, 3, 1, 1), StageSpec(16, 2, 3, 2, 4)),
+            stages=(StageSpec(8, 1, 3, 1, 1), StageSpec(16, 2, 3, 2, expansion)),
             head_channels=32,
             num_classes=2,
             group_size=4,
@@ -137,10 +144,16 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
-    raw = dict(raw)
-    raw["norm"] = NormSpec(**raw["norm"])
-    raw["stages"] = tuple(StageSpec(**s) for s in raw["stages"])
-    return ModelConfig(**raw)
+    """Inverse of ``config_to_dict``; a malformed dict raises ``ValueError``."""
+    try:
+        raw = dict(raw)
+        raw["norm"] = NormSpec(**raw["norm"])
+        raw["stages"] = tuple(StageSpec(**s) for s in raw["stages"])
+        return ModelConfig(**raw)
+    except KeyError as exc:
+        raise ValueError(f"model_config is missing {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed model_config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -218,24 +231,13 @@ class MBConv(Layer):
         self.add_child("project_norm", normact(dims.out_channels, "identity", proxy=False))
 
     def forward(self, x, train=True):
-        c = self._children
-        h = x
-        if self.dims.expand != 1:
-            h = c["expand_norm"](c["expand_conv"](h, train), train)
-        h = c["spatial_norm"](c["spatial_conv"](h, train), train)
-        h = c["se"](h, train)
-        h = c["project_norm"](c["project_conv"](h, train), train)
+        h = super().forward(x, train)
         if self.dims.residual:
             h = h + x
         return h
 
     def backward(self, dy):
-        c = self._children
-        dh = c["project_conv"].backward(c["project_norm"].backward(dy))
-        dh = c["se"].backward(dh)
-        dh = c["spatial_conv"].backward(c["spatial_norm"].backward(dh))
-        if self.dims.expand != 1:
-            dh = c["expand_conv"].backward(c["expand_norm"].backward(dh))
+        dh = super().backward(dy)
         if self.dims.residual:
             dh = dh + dy
         return dh
@@ -267,11 +269,7 @@ class EfficientNet(Layer):
         self.add_child("pool", GlobalAvgPool())
         self.add_child("classifier", Linear(config.head_channels, config.num_classes, rng))
 
-        self._order = (
-            ["stem_conv", "stem_norm"]
-            + [f"blocks/{i}" for i in range(len(dims))]
-            + ["head_conv", "head_norm", "pool", "classifier"]
-        )
+        self._order = list(self._children)
 
     def forward(self, x, train=True, start=0, stop=None):
         """Run the children ``_order[start:stop]``; ``x`` is the input of
@@ -285,19 +283,11 @@ class EfficientNet(Layer):
                     f"spatial extent {x.shape[2]}x{x.shape[3]} below the {floor} minimum "
                     f"for {1 + len(self.downsample_blocks)} downsampling layers"
                 )
-        h = x
-        for name in self._order[start:stop]:
-            h = self._children[name](h, train)
-        return h
+        return super().forward(x, train, start, stop)
 
     def backward(self, dy, stop=0):
-        """Backward from the last child down to child ``stop``, which must
-        have run forward; returns the gradient of that child's input. The
-        children before ``stop`` accumulate no gradient."""
-        dh = dy
-        for name in reversed(self._order[stop:]):
-            dh = self._children[name].backward(dh)
-        return dh
+        """``Layer.backward``: down to child ``stop``, whose input gradient it returns."""
+        return super().backward(dy, stop)
 
     def num_params(self) -> int:
         return sum(int(p.size) for p in self.params().values())

@@ -467,7 +467,7 @@ def train_loop(
         _check_finite(group, arrays)
     return Checkpoint(
         state={k: v.copy() for k, v in final.items()},
-        opt_state={k: v.copy() for k, v in state.items()},
+        opt_state=state,
         ema=ema,
         epoch=min(recipe.epochs, math.ceil(step / steps_per_epoch)),
         fingerprint=recipe_fingerprint(recipe),

@@ -11,6 +11,8 @@ import pytest
 
 from effkit.cli import GLOBAL_DEFAULTS, SUB_DEFAULTS, main
 from effkit.model import ModelConfig, count_cost
+from effkit.norms import NormSpec
+from effkit.train import Checkpoint
 
 
 def run(argv, capsys):
@@ -54,6 +56,26 @@ def test_count_records_effective_config(tmp_path, capsys):
     # untouched keys fall back to defaults
     assert cfg["norm"] == SUB_DEFAULTS["count"]["norm"]
     assert cfg["seed"] == GLOBAL_DEFAULTS["seed"]
+
+
+def test_count_tiny_honours_expansion(tmp_path, capsys):
+    for e in (4, 6):
+        rc, stdout, _ = run(
+            ["count", "--size", "tiny", "--expansion", str(e), "--out", str(tmp_path / str(e))],
+            capsys,
+        )
+        assert rc == 0
+        report = count_cost(ModelConfig.tiny(expansion=e, num_classes=1000, group_size=1,
+                                             norm=NormSpec("bn"), proxy=False), 32)
+        assert f"params={report.params} " in stdout
+
+
+@pytest.mark.parametrize("classes", ["0", "-1"])
+def test_count_rejects_nonpositive_classes(classes, tmp_path, capsys):
+    rc, stdout, stderr = run(["count", "--classes", classes, "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert "num_classes" in stderr
+    assert "params=" not in stdout
 
 
 def test_count_bad_size_exits_2(tmp_path, capsys):
@@ -364,6 +386,23 @@ def test_finetune_from_checkpoint(train_run, tmp_path, capsys):
     assert "fine-tuned scope last-1" in stdout
     assert (out / "finetune_checkpoint.bin").exists()
     assert (out / "finetune_log.csv").exists()
+
+
+@pytest.mark.parametrize("part", ["model_config", "norm", "stages"])
+def test_finetune_malformed_checkpoint_config_exits_2(part, train_run, tmp_path, capsys):
+    ckpt = Checkpoint.load(train_run / "checkpoint.bin")
+    cfg = ckpt.model_config
+    {"model_config": cfg, "norm": cfg["norm"], "stages": cfg["stages"][0]}[part]["bogus_key"] = 1
+    path = tmp_path / "bad.bin"
+    ckpt.save(path)
+    rc, _, stderr = run(
+        ["finetune", "--checkpoint", str(path), "--samples", "8", "--batch", "8",
+         "--epochs", "1", "--out", str(tmp_path / "ft")],
+        capsys,
+    )
+    assert rc == 2
+    assert "bogus_key" in stderr
+    assert not (tmp_path / "ft" / "finetune_checkpoint.bin").exists()
 
 
 # ---------------------------------------------------------------- verify

@@ -198,6 +198,28 @@ def test_decay_param_names_on_composites():
     assert names == {"conv/weight", "norm/proxy_beta", "norm/proxy_gamma"}
 
 
+def test_composite_runs_children_in_registration_order():
+    rng = make_rng(13)
+    root = layers.Layer()
+    a = root.add_child("a", layers.Linear(5, 4, rng))
+    sub = root.add_child("sub", layers.Layer())
+    b = sub.add_child("b", layers.Linear(4, 3, rng))
+    assert [p for p, _ in root.walk()] == ["", "a/", "sub/", "sub/b/"]
+    assert list(root.params()) == ["a/weight", "a/bias", "sub/b/weight", "sub/b/bias"]
+    x = rng.normal(size=(2, 5))
+    y = root.forward(x)
+    np.testing.assert_array_equal(y, b.forward(a.forward(x)))
+    dy = rng.normal(size=y.shape)
+    root.zero_grads()
+    dx = root.backward(dy)
+    np.testing.assert_array_equal(dx, a.backward(b.backward(dy)))
+    h = root.forward(x, stop=1)
+    np.testing.assert_array_equal(root.forward(h, start=1), y)
+    root.zero_grads()
+    np.testing.assert_array_equal(root.backward(dy, stop=1), b.backward(dy))
+    assert not a.grads()["weight"].any()
+
+
 class _SkewedLinear(layers.Linear):
     """A Linear whose backward is off by 0.01 in one gradient."""
 

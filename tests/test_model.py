@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from effkit import model
+from effkit import layers, model
 from effkit.convs import ConvSpec
 from effkit.norms import NormSpec
 from effkit.tensor import make_rng
@@ -49,6 +49,26 @@ def test_efficientnet_config_validation():
         model.ModelConfig.efficientnet("b7")
     with pytest.raises(ValueError):
         model.ModelConfig.efficientnet("b0", expansion=0)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d.update(extra=1), "extra"),
+    (lambda d: d["norm"].update(momentum=0.9), "momentum"),
+    (lambda d: d["stages"][0].pop("kernel"), "kernel"),
+    (lambda d: d.pop("stem_channels"), "stem_channels"),
+], ids=["config", "norm", "stage", "missing"])
+def test_config_from_dict_names_bad_keys(edit, key):
+    raw = model.config_to_dict(model.ModelConfig.tiny())
+    edit(raw)
+    with pytest.raises(ValueError, match=key):
+        model.config_from_dict(raw)
+
+
+def test_tiny_expansion_sets_expanding_stage():
+    assert [s.expand for s in model.ModelConfig.tiny().stages] == [1, 4]
+    assert [s.expand for s in model.ModelConfig.tiny(expansion=6).stages] == [1, 6]
+    with pytest.raises(ValueError):
+        model.ModelConfig.tiny(expansion=0)
 
 
 def test_config_dict_round_trip():
@@ -186,6 +206,44 @@ def test_count_cost_matches_built_model_exactly():
     net_b0 = model.build_model(big, make_rng(1))
     report_b0 = model.count_cost(big, 224)
     assert report_b0.params == net_b0.num_params()
+
+
+def _walk_dims(layer, prefix):
+    """A built layer's dimensions in the form of its ``model_plan`` entry."""
+    name = prefix.rstrip("/")
+    if isinstance(layer, layers.Conv):
+        s = layer.spec
+        return model.ConvDims, (name, s.in_channels, s.out_channels, s.kernel, s.stride,
+                                s.resolved_group_size)
+    if isinstance(layer, layers.NormAct):
+        return model.NormDims, (name, layer.gamma.size, layer.proxy)
+    return model.DenseDims, (name, *layer.w.shape)
+
+
+def _plan_dims(entry):
+    if isinstance(entry, model.ConvDims):
+        return (entry.name, entry.in_channels, entry.out_channels, entry.kernel, entry.stride,
+                entry.group_size)
+    if isinstance(entry, model.NormDims):
+        return (entry.name, entry.channels, entry.proxy)
+    return (entry.name, entry.in_features, entry.out_features)
+
+
+@pytest.mark.parametrize("cfg, resolution", [
+    (model.ModelConfig.tiny(), 32),
+    (model.ModelConfig.efficientnet("b0", group_size=16, expansion=4, norm=NormSpec("ln"),
+                                    proxy=True), 64),
+    (model.ModelConfig.efficientnet("b0", group_size=1), 64),
+], ids=["tiny", "b0-g16-ln-proxy", "b0-g1-bn"])
+def test_walk_paths_match_model_plan(cfg, resolution):
+    """The layer-tree paths are the join key between measured and analytic
+    per-layer rows: every Conv/NormAct/Linear of the built model, in walk
+    order, is the same-named ``model_plan`` entry with the same dimensions."""
+    net = model.build_model(cfg, make_rng(0))
+    walked = [_walk_dims(layer, prefix) for prefix, layer in net.walk()
+              if isinstance(layer, (layers.Conv, layers.NormAct, layers.Linear))]
+    planned = [(type(e), _plan_dims(e)) for e in model.model_plan(cfg, resolution)]
+    assert walked == planned
 
 
 def test_conv_flops_match_mac_oracle():

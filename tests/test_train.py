@@ -1,14 +1,20 @@
 """Optimizer arithmetic, schedules, losses, augmentation, and the loops."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import effkit
 from effkit import train
+from effkit.convs import ConvSpec, folds_batch_for_dw
 from effkit.data import as_batches, blob_dataset
 from effkit.layers import decay_param_names
-from effkit.model import ModelConfig, StageSpec, build_model
+from effkit.model import ConvDims, ModelConfig, StageSpec, build_model, model_plan
 from effkit.norms import NormSpec
 from effkit.tensor import make_rng
 
@@ -605,3 +611,27 @@ def test_finetune_stops_on_divergence():
     recipe = train.FinetuneRecipe(scope="last-1", epochs=1, batch=4, initial_lr=1e200)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite loss"):
         train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, batches)
+
+
+def test_train_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A short CLI train writes the same checkpoint with 1 and 2 BLAS threads.
+    At 16 px tiny's weight gradients take both GEMM layouts."""
+    folds = {
+        folds_batch_for_dw(ConvSpec(e.in_channels, e.out_channels, e.kernel, e.stride,
+                                    e.group_size), e.out_size**2)
+        for e in model_plan(ModelConfig.tiny(), 16) if isinstance(e, ConvDims)
+    }
+    assert folds == {True, False}
+    src = str(Path(effkit.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "effkit.cli", "train", "--steps", "4", "--samples", "64",
+             "--image-size", "16", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append((out / "checkpoint.bin").read_bytes())
+    assert outputs[0] == outputs[1]
