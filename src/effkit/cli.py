@@ -1,11 +1,15 @@
 """Command-line interface.
 
-Subcommands: count, roofline, resolution, train, finetune, verify. Options
-resolve as flags > config file > built-in defaults; the resolved values are
-written to <out>/config.json so a run can be reproduced exactly with
-``--config`` and no flags. Exit codes: 0 success, 1 verification-suite
-failure, 2 usage or configuration error, 3 training or fine-tuning diverged
-(a non-finite loss or final state; no checkpoint is written).
+Subcommands: count, roofline, resolution, train, finetune, verify. Each
+option is declared once, with its default, next to its flag, and a
+subcommand takes only the flags that change its output. Options resolve as
+flags > config file > those defaults: the file's values become the parsers'
+defaults for a second parse, and a file key that names no option of the
+subcommand is an error. The resolved values are written to
+<out>/config.json so a run can be reproduced exactly with ``--config`` and
+no flags. Exit codes: 0 success, 1 verification-suite failure, 2 usage or
+configuration error, 3 training or fine-tuning diverged (a non-finite loss
+or final state; no checkpoint is written).
 """
 
 from __future__ import annotations
@@ -33,159 +37,144 @@ from .resolution import (
     valid_test_resolutions,
 )
 from .tensor import make_rng
-from .train import Checkpoint, FinetuneRecipe, TrainRecipe, finetune, train_loop
-
-GLOBAL_DEFAULTS = {"seed": 0, "out": "effkit_out"}
-
-SUB_DEFAULTS = {
-    "count": {
-        "size": "b0", "group_size": 1, "expansion": 6, "norm": "bn",
-        "gn_groups": 4, "proxy": False, "classes": 1000, "resolution": None,
-    },
-    "roofline": {
-        "size": "b0", "group_size": 1, "expansion": 6, "norm": "bn",
-        "gn_groups": 4, "proxy": False, "classes": 1000, "resolution": None,
-        "batch": 8, "profile": None,
-    },
-    "resolution": {
-        "train": None, "max": 704, "half": None, "check": None,
-        "parity": None, "csv": False,
-    },
-    "train": {
-        "size": "tiny", "group_size": 4, "expansion": 4, "norm": "ln",
-        "gn_groups": 4, "proxy": True, "classes": 2,
-        "batch": 8, "epochs": 1, "steps": None, "lr": None, "samples": 256,
-        "image_size": 32, "augment": False, "micro_batch": None,
-    },
-    "finetune": {
-        "checkpoint": None, "scope": "last-1", "epochs": 2, "batch": 64,
-        "lr0": 0.25, "samples": 256, "image_size": 32,
-    },
-    "verify": {},
-}
+from .train import FINETUNE_SCOPES, Checkpoint, FinetuneRecipe, TrainRecipe, finetune, train_loop
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # SUPPRESS keeps a pre-subcommand value from being clobbered by the
-    # subparser's re-parse, so the flags work in either position.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", default=argparse.SUPPRESS,
+def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
+    # Only the top-level parser holds defaults. The subcommands share one set
+    # of SUPPRESS copies, so a value given before the subcommand survives the
+    # subparser's parse and the flags work in either position.
+    def default(value):
+        return value if top else argparse.SUPPRESS
+
+    parser.add_argument("--config", default=default(None),
                         help="JSON config file; flags override it")
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="random seed (default 0)")
-    shared.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory (default effkit_out)")
+    parser.add_argument("--seed", type=int, default=default(0), help="random seed")
+    parser.add_argument("--out", default=default("effkit_out"), help="output directory")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subparsers by name."""
     parser = argparse.ArgumentParser(
         prog="effkit",
-        parents=[shared],
         description="Grouped-convolution EfficientNet toolkit: cost counting, "
         "roofline reports, resolution rules, desk-scale training.",
     )
+    _add_global_flags(parser, top=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(shared, top=False)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_model_flags(sp, with_resolution=True):
-        sp.add_argument("--size", default=None, help="b0..b5 or tiny")
-        sp.add_argument("--group-size", type=int, default=None, dest="group_size")
-        sp.add_argument("--expansion", type=int, default=None)
-        sp.add_argument("--norm", choices=list(NORM_KINDS), default=None)
-        sp.add_argument("--gn-groups", type=int, default=None, dest="gn_groups")
-        sp.add_argument("--proxy", action=argparse.BooleanOptionalAction, default=None)
-        sp.add_argument("--classes", type=int, default=None)
-        if with_resolution:
-            sp.add_argument("--resolution", type=int, default=None)
+    def add_shape_flags(sp, size, group_size, expansion):
+        sp.add_argument("--size", default=size, help="b0..b5 or tiny")
+        sp.add_argument("--group-size", type=int, default=group_size, dest="group_size")
+        sp.add_argument("--expansion", type=int, default=expansion)
+
+    def add_data_flags(sp):
+        sp.add_argument("--samples", type=int, default=256)
+        sp.add_argument("--image-size", type=int, default=32, dest="image_size")
 
     sp = subs.add_parser("count", parents=[shared], help="parameter and FLOP accounting")
-    add_model_flags(sp)
+    add_shape_flags(sp, "b0", 1, 6)
+    sp.add_argument("--proxy", action=argparse.BooleanOptionalAction, default=False)
+    sp.add_argument("--classes", type=int, default=1000)
+    sp.add_argument("--resolution", type=int, help="default: the size's native one")
 
     sp = subs.add_parser("roofline", parents=[shared], help="per-layer arithmetic intensity report")
-    add_model_flags(sp)
-    sp.add_argument("--batch", type=int, default=None)
-    sp.add_argument("--profile", default=None, help="hardware profile JSON path")
+    add_shape_flags(sp, "b0", 1, 6)
+    sp.add_argument("--resolution", type=int, help="default: the size's native one")
+    sp.add_argument("--batch", type=int, default=8)
+    sp.add_argument("--profile", help="hardware profile JSON path")
 
     sp = subs.add_parser("resolution", parents=[shared], help="congruence and half-resolution tools")
-    sp.add_argument("--train", type=int, default=None, help="list test resolutions for this train size")
-    sp.add_argument("--max", type=int, default=None, help="upper bound for the listing")
-    sp.add_argument("--half", type=int, default=None, help="half resolution for this native size")
-    sp.add_argument("--check", type=int, nargs=2, default=None, metavar=("TRAIN", "TEST"))
-    sp.add_argument("--parity", type=int, default=None, help="parity profile for this size")
-    sp.add_argument("--csv", action=argparse.BooleanOptionalAction, default=None)
+    sp.add_argument("--train", type=int, help="list test resolutions for this train size")
+    sp.add_argument("--max", type=int, default=704, help="upper bound for the listing")
+    sp.add_argument("--half", type=int, help="half resolution for this native size")
+    sp.add_argument("--check", type=int, nargs=2, metavar=("TRAIN", "TEST"))
+    sp.add_argument("--parity", type=int, help="parity profile for this size")
+    sp.add_argument("--csv", action=argparse.BooleanOptionalAction, default=False,
+                    help="write the --train listing to resolution.csv")
 
     sp = subs.add_parser("train", parents=[shared], help="desk-scale training on synthetic data")
-    add_model_flags(sp, with_resolution=False)  # training uses --image-size
-    sp.add_argument("--batch", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None, help="stop after this many steps")
-    sp.add_argument("--lr", type=float, default=None, help="override the derived base learning rate")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--image-size", type=int, default=None, dest="image_size")
-    sp.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
-    sp.add_argument("--micro-batch", type=int, default=None, dest="micro_batch")
+    add_shape_flags(sp, "tiny", 4, 4)
+    sp.add_argument("--norm", choices=list(NORM_KINDS), default="ln")
+    sp.add_argument("--gn-groups", type=int, default=4, dest="gn_groups")
+    sp.add_argument("--proxy", action=argparse.BooleanOptionalAction, default=True)
+    sp.add_argument("--classes", type=int, default=2)
+    sp.add_argument("--batch", type=int, default=8)
+    sp.add_argument("--epochs", type=int, default=1)
+    sp.add_argument("--steps", type=int, help="stop after this many steps")
+    sp.add_argument("--lr", type=float, help="override the derived base learning rate")
+    add_data_flags(sp)
+    sp.add_argument("--augment", action=argparse.BooleanOptionalAction, default=False)
+    sp.add_argument("--micro-batch", type=int, dest="micro_batch")
 
     sp = subs.add_parser("finetune", parents=[shared], help="cosine-SGD fine-tuning from a checkpoint")
-    sp.add_argument("--checkpoint", default=None, help="checkpoint file from train")
-    sp.add_argument("--scope", choices=["last-1", "last-2", "last-3"], default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch", type=int, default=None)
-    sp.add_argument("--lr0", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--image-size", type=int, default=None, dest="image_size")
+    sp.add_argument("--checkpoint", help="checkpoint file from train")
+    sp.add_argument("--scope", choices=FINETUNE_SCOPES, default="last-1")
+    sp.add_argument("--epochs", type=int, default=2)
+    sp.add_argument("--batch", type=int, default=64)
+    sp.add_argument("--lr0", type=float, default=0.25)
+    add_data_flags(sp)
 
     subs.add_parser("verify", parents=[shared], help="run the built-in verification suites")
-    return parser
+    return parser, subs.choices
 
 
-def resolve_options(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, rejecting unknown config keys."""
-    sub = args.subcommand
-    defaults = {**GLOBAL_DEFAULTS, **SUB_DEFAULTS[sub]}
-    file_values = {}
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        with open(config_path) as fh:
+def resolve_options(argv) -> dict:
+    """flags > config file > defaults, rejecting unknown config keys; the
+    result holds the subcommand and every option's value."""
+    parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - set(defaults) - {"subcommand"})
+        unknown = sorted(set(raw) - (set(vars(args)) - {"config"}))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        file_values = {k: v for k, v in raw.items() if k != "subcommand"}
-    effective = {}
-    for key, default in defaults.items():
-        given = getattr(args, key, None)
-        if given is not None:
-            effective[key] = given
-        elif key in file_values:
-            effective[key] = file_values[key]
-        else:
-            effective[key] = default
-    return effective
+        raw.pop("subcommand", None)
+        # The subcommands share one --seed/--out action, and set_defaults
+        # writes into it: the file's seed and out go to the top-level
+        # parser only, or they would beat a flag given before the subcommand.
+        parser.set_defaults(**{k: raw.pop(k) for k in ("seed", "out") if k in raw})
+        subparsers[args.subcommand].set_defaults(**raw)
+        args = parser.parse_args(argv)
+    eff = vars(args)
+    del eff["config"]
+    return eff
 
 
 def model_config_from(eff: dict) -> ModelConfig:
+    """The model of a count, roofline or train run. A field whose flag the
+    subcommand does not take keeps the size's own default."""
     size = str(eff["size"]).lower()
-    norm = NormSpec(eff["norm"], groups=eff["gn_groups"])
-    common = dict(group_size=eff["group_size"], expansion=eff["expansion"],
-                  num_classes=eff["classes"], norm=norm, proxy=bool(eff["proxy"]))
+    over = {"group_size": eff["group_size"], "expansion": eff["expansion"]}
+    if "classes" in eff:
+        over["num_classes"] = eff["classes"]
+    if "proxy" in eff:
+        over["proxy"] = bool(eff["proxy"])
+    if "norm" in eff:
+        over["norm"] = NormSpec(eff["norm"], groups=eff["gn_groups"])
     if size == "tiny":
-        return ModelConfig.tiny(**common)
+        return ModelConfig.tiny(**over)
     if size not in VARIANTS:
         raise ValueError(f"unknown size {eff['size']!r}; use b0..b5 or tiny")
-    return ModelConfig.efficientnet(size, **common)
+    return ModelConfig.efficientnet(size, **over)
 
 
 def _resolution_for(eff: dict) -> int:
-    if eff.get("resolution") is not None:
+    if eff["resolution"] is not None:
         return int(eff["resolution"])
     size = str(eff["size"]).lower()
     return 32 if size == "tiny" else native_resolution(size)
 
 
-def _prepare_out(eff: dict, sub: str) -> Path:
+def _prepare_out(eff: dict) -> Path:
     out = Path(eff["out"])
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"subcommand": sub}
-    payload.update({k: v for k, v in eff.items()})
-    (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "config.json").write_text(json.dumps(eff, indent=2, sort_keys=True) + "\n")
     return out
 
 
@@ -198,7 +187,7 @@ def _synthetic_batches(eff: dict, classes: int, batch: int):
 
 def cmd_count(eff: dict) -> int:
     report = count_cost(model_config_from(eff), _resolution_for(eff))
-    out = _prepare_out(eff, "count")
+    out = _prepare_out(eff)
     (out / "cost.csv").write_text(report.to_csv())
     print(report.summary())
     print(f"wrote {out / 'cost.csv'}")
@@ -210,7 +199,7 @@ def cmd_roofline(eff: dict) -> int:
         raise ValueError("missing hardware profile (--profile PATH)")
     hw = HardwareProfile.from_json(eff["profile"])
     report = roofline(model_config_from(eff), hw, eff["batch"], _resolution_for(eff))
-    out = _prepare_out(eff, "roofline")
+    out = _prepare_out(eff)
     (out / "roofline.csv").write_text(report.to_csv())
     print(report.summary())
     print(f"wrote {out / 'roofline.csv'}")
@@ -218,8 +207,9 @@ def cmd_roofline(eff: dict) -> int:
 
 
 def cmd_resolution(eff: dict) -> int:
+    if eff["csv"] and eff["train"] is None:
+        raise ValueError("--csv writes the listing of --train; give --train")
     acted = False
-    csv_lines = []
     if eff["check"] is not None:
         a, b = eff["check"]
         print(f"congruent({a}, {b}) = {congruent(a, b)}")
@@ -235,13 +225,12 @@ def cmd_resolution(eff: dict) -> int:
         values = valid_test_resolutions(eff["train"], max_r=eff["max"])
         print(f"valid test resolutions for {eff['train']} (max {eff['max']}):")
         print(" ".join(str(v) for v in values))
-        csv_lines = ["resolution"] + [str(v) for v in values]
         acted = True
     if not acted:
         raise ValueError("give at least one of --train, --half, --check, --parity")
-    out = _prepare_out(eff, "resolution")
-    if eff["csv"] and csv_lines:
-        (out / "resolution.csv").write_text("\n".join(csv_lines) + "\n")
+    out = _prepare_out(eff)
+    if eff["csv"]:
+        (out / "resolution.csv").write_text("\n".join(["resolution", *map(str, values)]) + "\n")
         print(f"wrote {out / 'resolution.csv'}")
     return 0
 
@@ -256,7 +245,7 @@ def cmd_train(eff: dict) -> int:
         base_lr=eff["lr"],
         augment=bool(eff["augment"]),
     )
-    out = _prepare_out(eff, "train")
+    out = _prepare_out(eff)
     ckpt = train_loop(
         model,
         batches,
@@ -286,7 +275,7 @@ def cmd_finetune(eff: dict) -> int:
         scope=eff["scope"], epochs=eff["epochs"], batch=eff["batch"], initial_lr=eff["lr0"]
     )
     batches = _synthetic_batches(eff, model.config.num_classes, recipe.batch)
-    out = _prepare_out(eff, "finetune")
+    out = _prepare_out(eff)
     result = finetune(model, ckpt, recipe, batches, log_path=out / "finetune_log.csv")
     result.save(out / "finetune_checkpoint.bin")
     print(f"fine-tuned scope {recipe.scope} for {recipe.epochs} epochs")
@@ -316,11 +305,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        eff = resolve_options(args)
-        return COMMANDS[args.subcommand](eff)
+        eff = resolve_options(argv)
+        return COMMANDS[eff["subcommand"]](eff)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -412,14 +412,18 @@ def train_loop(
     forming one epoch, iterated ``recipe.epochs`` times) and return the
     final checkpoint. Deterministic for fixed (seed, recipe, data order).
 
-    A ``micro_batch_size`` accumulates each batch's gradients over chunks of
-    that size. It must be positive, and the model's norm batch-independent:
-    batch norm's statistics would depend on the chunking.
+    A ``max_steps``, when given, must be at least 1; the run stops after
+    that many steps. A ``micro_batch_size`` accumulates each batch's
+    gradients over chunks of that size. It must be positive, and the model's
+    norm batch-independent: batch norm's statistics would depend on the
+    chunking.
 
     Raises ``FloatingPointError`` on a non-finite step loss or a non-finite
     final state, optimizer state or average; the log up to that point is
     still written.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if micro_batch_size is not None:
         if micro_batch_size < 1:
             raise ValueError(f"micro-batch size must be positive, got {micro_batch_size}")

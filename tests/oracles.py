@@ -112,43 +112,6 @@ def naive_group_moments(x, groups):
 
 
 # ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-FD_STEP = 1e-5
-
-
-def grad_error(analytic, numeric):
-    """|a - n| / max(|a|, |n|, 1): relative above unit scale, absolute below."""
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
-
-
-def fd_gradient(value_fn, array, analytic, rng=None, samples=None):
-    """Worst grad_error between `analytic` and central differences.
-
-    Probes every coordinate when `samples` is None, otherwise a seeded
-    random subset. `value_fn` must re-run the forward pass in 64-bit.
-    """
-    flat = array.reshape(-1)
-    grad = np.asarray(analytic).reshape(-1)
-    if samples is None or samples >= flat.size:
-        idx = np.arange(flat.size)
-    else:
-        idx = rng.choice(flat.size, size=samples, replace=False)
-    worst = 0.0
-    for i in idx:
-        keep = flat[i]
-        flat[i] = keep + FD_STEP
-        up = value_fn()
-        flat[i] = keep - FD_STEP
-        down = value_fn()
-        flat[i] = keep
-        numeric = (up - down) / (2.0 * FD_STEP)
-        worst = max(worst, grad_error(grad[i], numeric))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from effkit.cli import GLOBAL_DEFAULTS, SUB_DEFAULTS, main
+from effkit.cli import main
 from effkit.model import ModelConfig, count_cost
 from effkit.norms import NormSpec
 from effkit.train import Checkpoint
@@ -54,8 +54,8 @@ def test_count_records_effective_config(tmp_path, capsys):
     assert cfg["group_size"] == 16
     assert cfg["expansion"] == 4
     # untouched keys fall back to defaults
-    assert cfg["norm"] == SUB_DEFAULTS["count"]["norm"]
-    assert cfg["seed"] == GLOBAL_DEFAULTS["seed"]
+    assert cfg["classes"] == 1000
+    assert cfg["seed"] == 0
 
 
 def test_count_tiny_honours_expansion(tmp_path, capsys):
@@ -117,11 +117,30 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
     assert cfg["expansion"] == 6        # default survives
 
 
+def test_config_seed_and_out_lose_to_flags_in_either_position(tmp_path, capsys):
+    # The subcommands share one --seed/--out action; a file's values must
+    # not turn it into a default that beats a flag given before them.
+    config_path = tmp_path / "opts.json"
+    config_path.write_text(json.dumps({"seed": 3, "out": str(tmp_path / "file_out"),
+                                       "size": "b1"}))
+    for argv in (["--seed", "7", "--out", str(tmp_path / "before"), "count"],
+                 ["count", "--seed", "7", "--out", str(tmp_path / "after")]):
+        rc, _, _ = run([*argv, "--config", str(config_path)], capsys)
+        assert rc == 0
+    for name in ("before", "after"):
+        cfg = read_config(tmp_path / name)
+        assert (cfg["seed"], cfg["size"]) == (7, "b1")
+    rc, _, _ = run(["count", "--config", str(config_path)], capsys)
+    assert rc == 0
+    cfg = read_config(tmp_path / "file_out")
+    assert (cfg["seed"], cfg["size"]) == (3, "b1")
+
+
 def test_written_config_reproduces_run(tmp_path, capsys):
     first = tmp_path / "first"
     rc, _, _ = run(
         ["count", "--size", "b3", "--group-size", "4", "--expansion", "5",
-         "--norm", "ln", "--proxy", "--seed", "3", "--out", str(first)],
+         "--proxy", "--seed", "3", "--out", str(first)],
         capsys,
     )
     assert rc == 0
@@ -187,6 +206,20 @@ def test_train_has_no_resolution_option(tmp_path, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "sub, keys", [("count", ["gn_groups", "norm"]), ("roofline", ["classes", "proxy"])]
+)
+def test_report_config_with_removed_model_key_exits_2(sub, keys, tmp_path, capsys):
+    # count and roofline config.json files from older versions carry the
+    # model keys that never changed their reports.
+    config_path = tmp_path / "old.json"
+    config_path.write_text(json.dumps({"subcommand": sub, "size": "b0",
+                                       **{k: 1 for k in keys}}))
+    rc, _, stderr = run([sub, "--config", str(config_path), "--out", str(tmp_path / "x")], capsys)
+    assert rc == 2
+    assert f"unknown config keys: {keys}" in stderr
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc, _, stderr = run(
         ["count", "--config", str(tmp_path / "absent.json"),
@@ -210,7 +243,7 @@ def test_config_list_rejected(tmp_path, capsys):
 
 def test_bad_flag_value_raises_argparse_exit():
     with pytest.raises(SystemExit) as exc:
-        main(["count", "--norm", "bogus"])
+        main(["train", "--norm", "bogus"])
     assert exc.value.code == 2
 
 
@@ -256,6 +289,58 @@ def test_roofline_bad_profile_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown hardware profile keys" in stderr
+
+
+# --------------------------------------------- every report flag acts
+
+@pytest.mark.parametrize("sub", ["count", "roofline"])
+def test_every_report_flag_changes_the_report(sub, tmp_path, capsys):
+    # Each option of count and roofline is listed here and must change the
+    # CSV it writes; an option that does nothing fails the first assert.
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    fast.write_text(json.dumps(PROFILE))
+    slow.write_text(json.dumps({**PROFILE, "peak_flops": 1e9}))
+    changes = {
+        "size": ["--size", "b1"],
+        "group_size": ["--group-size", "16"],
+        "expansion": ["--expansion", "4"],
+        "resolution": ["--resolution", "256"],
+    }
+    if sub == "count":
+        base, csv = [], "cost.csv"
+        changes.update(proxy=["--proxy"], classes=["--classes", "10"])
+    else:
+        base, csv = ["--profile", str(fast)], "roofline.csv"
+        changes.update(batch=["--batch", "2"], profile=["--profile", str(slow)])
+
+    def report(name, flags):
+        out = tmp_path / name
+        rc, _, _ = run([sub, *base, *flags, "--out", str(out)], capsys)
+        assert rc == 0
+        return read_config(out), (out / csv).read_text()
+
+    config, default = report("default", [])
+    assert set(config) - {"subcommand", "seed", "out"} == set(changes)
+    for key, flags in changes.items():
+        assert report(key, flags)[1] != default, key
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--norm", "ln"],
+        ["count", "--gn-groups", "2"],
+        ["roofline", "--norm", "ln"],
+        ["roofline", "--gn-groups", "2"],
+        ["roofline", "--proxy"],
+        ["roofline", "--classes", "10"],
+    ],
+)
+def test_report_flags_without_effect_are_gone(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------------ resolution
@@ -307,6 +392,16 @@ def test_resolution_listing_csv(tmp_path, capsys):
     assert values == sorted(values)
 
 
+def test_resolution_csv_needs_train(tmp_path, capsys):
+    # --csv writes the --train listing; without --train it wrote nothing.
+    out = tmp_path / "run"
+    rc, stdout, stderr = run(["resolution", "--half", "224", "--csv", "--out", str(out)], capsys)
+    assert rc == 2
+    assert "--train" in stderr
+    assert "half_resolution" not in stdout
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- train
 
 @pytest.fixture(scope="module")
@@ -354,6 +449,16 @@ def test_train_rejects_bad_micro_batch(flags, tmp_path, capsys):
     assert rc == 2
     assert "micro-batch" in stderr
     assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_train_rejects_steps_below_one(steps, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc, _, stderr = run(["train", "--steps", steps, "--samples", "16", "--out", str(out)], capsys)
+    assert rc == 2
+    assert "max_steps must be at least 1" in stderr
+    assert not (out / "checkpoint.bin").exists()
+    assert not (out / "train_log.csv").exists()
 
 
 def test_train_divergence_exits_3_without_checkpoint(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 
 from effkit import convs
 from effkit.tensor import make_rng
+from effkit.verify import fd_check
 
-from oracles import fd_gradient, naive_grouped_conv, naive_grouped_conv_backward
+from oracles import naive_grouped_conv, naive_grouped_conv_backward
 
 
 def oracle_conv(x, w, spec):
@@ -218,8 +219,8 @@ def test_conv_backward_matches_finite_differences(cin, cout, k, stride, gs, padd
         yy, _ = convs.conv_forward(x, w, spec)
         return float((yy * dy).sum())
 
-    assert fd_gradient(loss, x, dx, rng=rng, samples=30) <= 1e-6
-    assert fd_gradient(loss, w, dw, rng=rng, samples=30) <= 1e-6
+    assert fd_check(loss, x, dx, rng, 30) <= 1e-6
+    assert fd_check(loss, w, dw, rng, 30) <= 1e-6
 
 
 @pytest.mark.parametrize("padding", convs.PADDINGS)

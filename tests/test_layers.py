@@ -9,27 +9,6 @@ from effkit.norms import NormSpec, batch_moments
 from effkit.tensor import make_rng
 from effkit.verify import check_layer
 
-from oracles import fd_gradient
-
-
-def check_layer_gradients(layer, x, rng, samples=25, tol=1e-6):
-    """Finite-difference check of dx and every parameter gradient."""
-    dy = rng.normal(size=layer.forward(x, train=True).shape)
-
-    def loss():
-        return float((layer.forward(x, train=True) * dy).sum())
-
-    layer.zero_grads()
-    layer.forward(x, train=True)
-    dx = layer.backward(dy)
-    worst = fd_gradient(loss, x, dx, rng=rng, samples=samples)
-    params = layer.params()
-    grads = layer.grads()
-    for name in params:
-        err = fd_gradient(loss, params[name], grads[name], rng=rng, samples=samples)
-        worst = max(worst, err)
-    return worst
-
 
 def test_conv_layer_gradients_dense_grouped_depthwise():
     rng = make_rng(0)
@@ -40,14 +19,14 @@ def test_conv_layer_gradients_dense_grouped_depthwise():
     ):
         layer = layers.Conv(spec, rng)
         x = rng.normal(size=(2, spec.in_channels, 6, 6))
-        assert check_layer_gradients(layer, x, rng) <= 1e-6
+        assert check_layer(layer, x, rng, probes=25) <= 1e-6
 
 
 def test_linear_layer_gradients():
     rng = make_rng(1)
     layer = layers.Linear(5, 3, rng)
     x = rng.normal(size=(4, 5))
-    assert check_layer_gradients(layer, x, rng) <= 1e-6
+    assert check_layer(layer, x, rng, probes=25) <= 1e-6
 
 
 def test_normact_gradients_every_kind_and_activation():
@@ -62,7 +41,7 @@ def test_normact_gradients_every_kind_and_activation():
     for spec, act, proxy in cases:
         layer = layers.NormAct(4, spec, act, proxy=proxy)
         x = rng.normal(size=(2, 4, 5, 5))
-        err = check_layer_gradients(layer, x, rng)
+        err = check_layer(layer, x, rng, probes=25)
         assert err <= 1e-6, (spec.kind, act, proxy, err)
 
 
@@ -77,7 +56,7 @@ def test_normact_relu_proxy_gradients_away_from_kink():
     mask = np.abs(pre) < 1e-2
     assert mask.mean() < 0.05
     x = x + 0.3 * np.sign(x)  # widen the margin
-    err = check_layer_gradients(layer, x, rng, samples=20)
+    err = check_layer(layer, x, rng, probes=20)
     assert err <= 1e-4
 
 
@@ -85,14 +64,14 @@ def test_squeeze_excite_gradients():
     rng = make_rng(4)
     layer = layers.SqueezeExcite(6, 2, rng)
     x = rng.normal(size=(2, 6, 4, 4))
-    assert check_layer_gradients(layer, x, rng) <= 1e-6
+    assert check_layer(layer, x, rng, probes=25) <= 1e-6
 
 
 def test_global_avg_pool_gradients():
     rng = make_rng(5)
     layer = layers.GlobalAvgPool()
     x = rng.normal(size=(3, 4, 5, 5))
-    assert check_layer_gradients(layer, x, rng) <= 1e-6
+    assert check_layer(layer, x, rng, probes=25) <= 1e-6
 
 
 def test_gradients_accumulate_across_backward_calls():

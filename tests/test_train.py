@@ -491,6 +491,20 @@ def test_train_loop_stops_on_divergence(tmp_path):
                          seed=0, max_steps=1)
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_train_loop_rejects_max_steps_below_one(max_steps, tmp_path):
+    # A run asked for no steps used to train one and return its checkpoint.
+    net, batches = tiny_setup(seed=16)
+    before = {k: v.copy() for k, v in net.params().items()}
+    log = tmp_path / "log.csv"
+    with pytest.raises(ValueError, match="max_steps"):
+        train.train_loop(net, batches, train.TrainRecipe(global_batch=8), seed=0,
+                         max_steps=max_steps, log_path=log)
+    assert not log.exists()
+    for name, arr in net.params().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
 def test_train_loop_rejects_empty_data():
     net, _ = tiny_setup(seed=16)
     recipe = train.TrainRecipe(global_batch=8)
