@@ -1,0 +1,80 @@
+"""Measure the backward caches that one forward pass leaves in the layers.
+
+Builds b0 G=16 E=4 LN+proxy at batch 4 and runs, each on a fresh model, a
+training forward (``train=True``), the last-1 fine-tune's frozen-prefix
+forward (``train=True, stop=scope_start(1), grad=False``) and an
+evaluation forward (``train=False``). After each it walks every layer's
+cache and prints the MB held, counting each buffer once by its base array:
+a view, or an array that two layers both keep, adds nothing. The
+parameters' MB is printed for scale.
+
+    PYTHONPATH=src python benchmarks/cache_bytes.py [--resolution 64 128]
+"""
+
+import argparse
+
+import numpy as np
+
+from effkit.model import ModelConfig, build_model
+from effkit.norms import NormSpec
+from effkit.tensor import make_rng
+
+CONFIG = ModelConfig.efficientnet(
+    "b0", group_size=16, expansion=4, norm=NormSpec("ln"), proxy=True, num_classes=2,
+)
+BATCH = 4
+
+
+def _arrays(obj):
+    """Every ndarray inside a cache of nested tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+
+
+def cached_bytes(model) -> int:
+    """Bytes of the distinct base arrays that the layers' caches reach."""
+    bases = {}
+    for _, layer in model.walk():
+        for arr in _arrays(layer._cache):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            bases[id(arr)] = arr.nbytes
+    return sum(bases.values())
+
+
+def measure(resolution: int) -> dict[str, float]:
+    x = make_rng(1).normal(size=(BATCH, 3, resolution, resolution))
+    passes = {
+        "train": lambda m: m.forward(x, train=True),
+        "prefix": lambda m: m.forward(x, train=True, stop=m.scope_start(1), grad=False),
+        "eval": lambda m: m.forward(x, train=False),
+    }
+    out = {}
+    for name, run in passes.items():
+        model = build_model(CONFIG, make_rng(0))
+        run(model)
+        out[name] = cached_bytes(model) / 1e6
+    out["params"] = sum(p.nbytes for p in model.params().values()) / 1e6
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--resolution", type=int, nargs="+", default=[64, 128])
+    args = parser.parse_args()
+    print(f"b0 G=16 E=4 ln+proxy, batch {BATCH}: MB of backward caches after one forward pass")
+    print(f"{'resolution':>10} {'train':>8} {'prefix':>8} {'eval':>8} {'params':>8}")
+    for resolution in args.resolution:
+        mb = measure(resolution)
+        print(f"{resolution:>10} {mb['train']:>8.1f} {mb['prefix']:>8.1f} {mb['eval']:>8.1f} "
+              f"{mb['params']:>8.1f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -251,8 +251,9 @@ def _input_grad(dy: np.ndarray, weight: np.ndarray, spec: ConvSpec, in_shape) ->
     return np.ascontiguousarray(dxp[:, :, roff : roff + h, coff : coff + w])
 
 
-def conv_backward(cache, dy: np.ndarray):
-    """Returns (dx, dweight)."""
+def conv_backward(cache, dy: np.ndarray, input_grad: bool = True):
+    """Returns (dx, dweight); dx is ``None`` with ``input_grad=False``,
+    which computes the weight gradient only."""
     if dy.shape != cache["out_shape"]:
         raise ValueError(
             f"dy shape {dy.shape} does not match the forward output shape {cache['out_shape']}"
@@ -260,4 +261,6 @@ def conv_backward(cache, dy: np.ndarray):
     spec: ConvSpec = cache["spec"]
     dy = np.ascontiguousarray(dy, dtype=np.float64)
     dw = _weight_grad(cache["xp"], dy, spec)
+    if not input_grad:
+        return None, dw
     return _input_grad(dy, cache["weight"], spec, cache["in_shape"]), dw

@@ -7,6 +7,16 @@ names so the whole model flattens to a single name -> array mapping.
 children in registration order. Backward accumulates into the gradient
 arrays (call ``zero_grads`` between optimizer steps), which makes gradient
 accumulation across micro-batches a matter of simply not zeroing.
+
+A leaf keeps what its backward pass reads (its cache) only when the forward
+pass runs with ``train=True`` and ``grad=True``; otherwise it drops it. So
+evaluation (``train=False``) keeps nothing, and ``grad=False`` runs a
+forward pass in train mode (batch norm's running moments still move) that
+no backward pass follows, such as the fine-tune's frozen prefix. A backward
+pass through a leaf without a cache raises ``RuntimeError``.
+``backward(..., input_grad=False)`` computes the parameter gradients only
+and returns ``None``: a composite passes it to the child at ``stop`` alone,
+whose input gradient is the one it would return.
 """
 
 from __future__ import annotations
@@ -97,23 +107,42 @@ class Layer:
     # -- compute ------------------------------------------------------------
 
     def forward(
-        self, x: np.ndarray, train: bool = True, start: int = 0, stop: int | None = None
+        self,
+        x: np.ndarray,
+        train: bool = True,
+        start: int = 0,
+        stop: int | None = None,
+        grad: bool = True,
     ) -> np.ndarray:
         """Run the children ``[start:stop]`` in registration order; ``x`` is
-        the input of child ``start``. Leaf layers override this."""
+        the input of child ``start``. With ``grad=False`` (or ``train=False``)
+        no child keeps a cache for backward. Leaf layers override this."""
         h = x
         for child in list(self._children.values())[start:stop]:
-            h = child.forward(h, train)
+            h = child.forward(h, train, grad=grad)
         return h
 
-    def backward(self, dy: np.ndarray, stop: int = 0) -> np.ndarray:
+    def backward(
+        self, dy: np.ndarray, stop: int = 0, input_grad: bool = True
+    ) -> np.ndarray | None:
         """Backward from the last child down to child ``stop``, which must
-        have run forward; returns the gradient of that child's input. The
+        have run forward; returns the gradient of that child's input, or
+        ``None`` with ``input_grad=False``, which that child then skips. The
         children before ``stop`` accumulate no gradient."""
+        children = list(self._children.values())[stop:]
         dh = dy
-        for child in reversed(list(self._children.values())[stop:]):
+        for child in reversed(children[1:]):
             dh = child.backward(dh)
-        return dh
+        return children[0].backward(dh, input_grad=input_grad) if children else dh
+
+    def _backward_cache(self):
+        """The cache of the last forward pass, which must have kept one."""
+        if self._cache is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward has no cache: the last forward "
+                "ran with train=False or grad=False, or never ran"
+            )
+        return self._cache
 
 
 class Conv(Layer):
@@ -126,12 +155,13 @@ class Conv(Layer):
         init = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.weight_shape)
         self.w = self.add_param("weight", init)
 
-    def forward(self, x, train=True):
-        y, self._cache = conv_forward(x, self.w, self.spec)
+    def forward(self, x, train=True, grad=True):
+        y, cache = conv_forward(x, self.w, self.spec)
+        self._cache = cache if train and grad else None
         return y
 
-    def backward(self, dy):
-        dx, dw = conv_backward(self._cache, dy)
+    def backward(self, dy, input_grad=True):
+        dx, dw = conv_backward(self._backward_cache(), dy, input_grad=input_grad)
         self._grads["weight"] += dw
         return dx
 
@@ -144,19 +174,19 @@ class Linear(Layer):
         )
         self.b = self.add_param("bias", np.zeros(out_features))
 
-    def forward(self, x, train=True):
-        self._cache = x
+    def forward(self, x, train=True, grad=True):
+        self._cache = x if train and grad else None
         # Never fold the batch into a GEMM dimension: ``x @ w`` is one GEMM
         # with B rows, and BLAS may round a row differently as B changes.
         # einsum without ``optimize`` sums each output over ``i`` in numpy's
         # own loop, so a sample's result does not depend on its batch.
         return np.einsum("bi,io->bo", x, self.w) + self.b
 
-    def backward(self, dy):
-        x = self._cache
+    def backward(self, dy, input_grad=True):
+        x = self._backward_cache()
         self._grads["weight"] += np.einsum("bi,bo->io", x, dy)
         self._grads["bias"] += dy.sum(axis=0)
-        return np.einsum("bo,io->bi", dy, self.w)
+        return np.einsum("bo,io->bi", dy, self.w) if input_grad else None
 
 
 class NormAct(Layer):
@@ -191,7 +221,7 @@ class NormAct(Layer):
             self.running_mean = self.add_buffer("running_mean", np.zeros(channels))
             self.running_var = self.add_buffer("running_var", np.ones(channels))
 
-    def forward(self, x, train=True):
+    def forward(self, x, train=True, grad=True):
         bn = self.spec.kind == "bn"
         stats = (self.running_mean, self.running_var) if bn and not train else None
         y, ncache = normalize(x, self.spec, stats=stats)
@@ -208,11 +238,11 @@ class NormAct(Layer):
             )
         else:
             z, acache = scaled_activation(y, self.gamma, self.beta, self.act)
-        self._cache = (ncache, acache)
+        self._cache = (ncache, acache) if train and grad else None
         return z
 
-    def backward(self, dz):
-        ncache, acache = self._cache
+    def backward(self, dz, input_grad=True):
+        ncache, acache = self._backward_cache()
         if self.proxy:
             dy, dgamma, dbeta, dpb, dpg = pn_activation_backward(acache, dz)
             self._grads["proxy_beta"] += dpb
@@ -221,7 +251,7 @@ class NormAct(Layer):
             dy, dgamma, dbeta = scaled_activation_backward(acache, dz)
         self._grads["gamma"] += dgamma
         self._grads["beta"] += dbeta
-        return normalize_backward(ncache, dy)
+        return normalize_backward(ncache, dy) if input_grad else None
 
 
 class SqueezeExcite(Layer):
@@ -233,35 +263,37 @@ class SqueezeExcite(Layer):
         self.fc2 = self.add_child("expand", Linear(reduced, channels, rng))
         self._swish = get_activation("swish")
 
-    def forward(self, x, train=True):
+    def forward(self, x, train=True, grad=True):
         pooled = x.mean(axis=(2, 3))
-        a = self.fc1.forward(pooled, train)
+        a = self.fc1.forward(pooled, train, grad=grad)
         h = self._swish.fn(a)
-        logits = self.fc2.forward(h, train)
+        logits = self.fc2.forward(h, train, grad=grad)
         gate = sigmoid(logits)
-        self._cache = (x, a, gate)
+        self._cache = (x, a, gate) if train and grad else None
         return x * gate[:, :, None, None]
 
-    def backward(self, dy):
-        x, a, gate = self._cache
-        hw = x.shape[2] * x.shape[3]
-        g4 = gate[:, :, None, None]
+    def backward(self, dy, input_grad=True):
+        x, a, gate = self._backward_cache()
         dgate = (dy * x).sum(axis=(2, 3))
         dlogits = dgate * gate * (1.0 - gate)
         dh = self.fc2.backward(dlogits)
         da = dh * self._swish.deriv(a)
-        dpooled = self.fc1.backward(da)
-        dx = dy * g4 + dpooled[:, :, None, None] / hw
-        return dx
+        dpooled = self.fc1.backward(da, input_grad=input_grad)
+        if not input_grad:
+            return None
+        hw = x.shape[2] * x.shape[3]
+        return dy * gate[:, :, None, None] + dpooled[:, :, None, None] / hw
 
 
 class GlobalAvgPool(Layer):
-    def forward(self, x, train=True):
-        self._cache = x.shape
+    def forward(self, x, train=True, grad=True):
+        self._cache = x.shape if train and grad else None
         return x.mean(axis=(2, 3))
 
-    def backward(self, dy):
-        b, c, h, w = self._cache
+    def backward(self, dy, input_grad=True):
+        b, c, h, w = self._backward_cache()
+        if not input_grad:
+            return None
         return np.broadcast_to(dy[:, :, None, None] / (h * w), (b, c, h, w)).copy()
 
 

@@ -230,15 +230,15 @@ class MBConv(Layer):
         self.add_child("project_conv", Conv(ConvSpec(mid, dims.out_channels, 1), rng))
         self.add_child("project_norm", normact(dims.out_channels, "identity", proxy=False))
 
-    def forward(self, x, train=True):
-        h = super().forward(x, train)
+    def forward(self, x, train=True, grad=True):
+        h = super().forward(x, train, grad=grad)
         if self.dims.residual:
             h = h + x
         return h
 
-    def backward(self, dy):
-        dh = super().backward(dy)
-        if self.dims.residual:
+    def backward(self, dy, input_grad=True):
+        dh = super().backward(dy, input_grad=input_grad)
+        if input_grad and self.dims.residual:
             dh = dh + dy
         return dh
 
@@ -271,9 +271,10 @@ class EfficientNet(Layer):
 
         self._order = list(self._children)
 
-    def forward(self, x, train=True, start=0, stop=None):
+    def forward(self, x, train=True, start=0, stop=None, grad=True):
         """Run the children ``_order[start:stop]``; ``x`` is the input of
-        child ``start``. The defaults run the whole network on images."""
+        child ``start``. The defaults run the whole network on images.
+        Only ``train=True, grad=True`` keeps the caches backward reads."""
         if start == 0:
             if x.ndim != 4 or x.shape[1] != 3:
                 raise ValueError(f"expected input (batch, 3, h, w), got shape {x.shape}")
@@ -283,11 +284,12 @@ class EfficientNet(Layer):
                     f"spatial extent {x.shape[2]}x{x.shape[3]} below the {floor} minimum "
                     f"for {1 + len(self.downsample_blocks)} downsampling layers"
                 )
-        return super().forward(x, train, start, stop)
+        return super().forward(x, train, start, stop, grad=grad)
 
-    def backward(self, dy, stop=0):
-        """``Layer.backward``: down to child ``stop``, whose input gradient it returns."""
-        return super().backward(dy, stop)
+    def backward(self, dy, stop=0, input_grad=True):
+        """``Layer.backward``: down to child ``stop``, whose input gradient it
+        returns unless ``input_grad=False``."""
+        return super().backward(dy, stop, input_grad=input_grad)
 
     def num_params(self) -> int:
         return sum(int(p.size) for p in self.params().values())

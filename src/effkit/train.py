@@ -360,7 +360,8 @@ def _run_batch(model, x, targets, smoothing, micro_batch_size=None, first=0):
     """Forward/backward over one logical batch, accumulating gradients.
 
     ``x`` is the input of child ``first`` of ``model._order``: the children
-    from there on run forward, and backward stops at that child.
+    from there on run forward, and backward stops at that child without
+    computing its input gradient, which nothing reads.
 
     With a micro-batch size the batch is processed in chunks whose loss
     gradients are scaled by chunk/total so the accumulated gradients equal
@@ -378,7 +379,7 @@ def _run_batch(model, x, targets, smoothing, micro_batch_size=None, first=0):
         loss_sum += float(losses.sum())
         correct += int((logits.argmax(axis=1) == ts.argmax(axis=1)).sum())
         dlogits = smoothed_cross_entropy_grad(logits, ts, smoothing) * (xs.shape[0] / total)
-        model.backward(dlogits, stop=first)
+        model.backward(dlogits, stop=first, input_grad=False)
     return loss_sum / total, correct / total
 
 
@@ -493,7 +494,8 @@ def finetune(
     Only the scope is trained, so only the scope is computed every step.
     The frozen prefix (the children of ``model._order`` before
     ``model.scope_start``) runs forward in train mode once per distinct
-    batch, the first time the loop reaches position ``i`` of ``data``; its
+    batch, the first time the loop reaches position ``i`` of ``data``, and
+    keeps no backward caches (``grad=False``); its
     output is kept, one activation per batch, and fed to the scope in every
     later epoch. Backward stops at the scope boundary, and only the scoped
     gradients are zeroed and written. Every parameter ends as a full
@@ -525,7 +527,7 @@ def finetune(
             lr = cosine_lr(step, total_steps, recipe.initial_lr)
             targets = _as_distribution(y, num_classes)
             if i not in prefix_out:
-                prefix_out[i] = model.forward(x, train=True, stop=first)
+                prefix_out[i] = model.forward(x, train=True, stop=first, grad=False)
             for g in scoped_grads:
                 g[...] = 0.0
             loss, acc = _run_batch(model, prefix_out[i], targets, smoothing=0.0, first=first)

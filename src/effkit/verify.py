@@ -94,7 +94,7 @@ def check_layer(layer, x, rng, probes=5):
     probe = rng.normal(size=layer.forward(x, train=True).shape)
 
     def loss():
-        return float((layer.forward(x, train=True) * probe).sum())
+        return float((layer.forward(x, train=True, grad=False) * probe).sum())
 
     worst = 0.0
     arrays = [("<input>", x)] + sorted(layer.params().items())

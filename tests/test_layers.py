@@ -222,3 +222,50 @@ def test_shared_fd_harness_catches_a_wrong_gradient(wrong):
     x = rng.normal(size=(4, 5))
     assert check_layer(layers.Linear(5, 3, make_rng(14)), x, rng) <= 1e-6
     assert check_layer(_SkewedLinear(wrong, make_rng(14)), x, rng) > 1e-3
+
+
+# Each leaf layer with an input of its shape.
+LEAVES = {
+    "conv": lambda rng: (layers.Conv(ConvSpec(4, 6, 3, stride=2, group_size=2), rng), (2, 4, 6, 6)),
+    "normact bn": lambda rng: (layers.NormAct(4, NormSpec("bn")), (2, 4, 5, 5)),
+    "normact ln+proxy": lambda rng: (layers.NormAct(4, NormSpec("ln"), proxy=True), (2, 4, 5, 5)),
+    "squeeze-excite": lambda rng: (layers.SqueezeExcite(6, 2, rng), (2, 6, 4, 4)),
+    "linear": lambda rng: (layers.Linear(5, 3, rng), (4, 5)),
+    "pool": lambda rng: (layers.GlobalAvgPool(), (2, 4, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("forward_only", [{"train": False}, {"train": True, "grad": False}],
+                         ids=["eval", "grad-false"])
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_backward_after_a_forward_only_pass_raises(leaf, forward_only):
+    # A training forward leaves a cache; the forward-only pass after it
+    # must drop it, so the backward cannot read the older pass's cache.
+    rng = make_rng(15)
+    layer, shape = LEAVES[leaf](rng)
+    x = rng.normal(size=shape)
+    y = layer.forward(x, train=True)
+    assert layer._cache is not None
+    out = layer.forward(x, **forward_only)
+    if forward_only["train"]:
+        np.testing.assert_array_equal(out, y)
+    assert all(node._cache is None for _, node in layer.walk())
+    layer.zero_grads()
+    with pytest.raises(RuntimeError, match="train=False or grad=False"):
+        layer.backward(np.ones_like(y))
+    assert not any(g.any() for g in layer.grads().values())
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_backward_without_input_grad_returns_none_and_the_same_parameter_grads(leaf):
+    rng = make_rng(16)
+    layer, shape = LEAVES[leaf](rng)
+    x = rng.normal(size=shape)
+    dy = rng.normal(size=layer.forward(x, train=True).shape)
+    layer.zero_grads()
+    assert layer.backward(dy).shape == x.shape
+    want = {k: v.copy() for k, v in layer.grads().items()}
+    layer.zero_grads()
+    assert layer.backward(dy, input_grad=False) is None
+    for name, g in layer.grads().items():
+        np.testing.assert_array_equal(g, want[name], err_msg=name)

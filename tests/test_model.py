@@ -337,6 +337,83 @@ def test_tiny_ln_pn_batch_permutation_bit_exact():
     assert np.array_equal(shuffled, base[perm])
 
 
+def test_forward_only_passes_keep_no_cache():
+    rng = make_rng(6)
+    net = model.build_model(model.ModelConfig.tiny(), rng)
+    x = rng.normal(size=(2, 3, 32, 32))
+    net.forward(x, train=True)
+    assert all(layer._cache is not None for layer in (net._children["stem_conv"],
+                                                      net._children["classifier"]))
+    net.forward(x, train=False)
+    assert [p for p, layer in net.walk() if layer._cache is not None] == []
+    # The frozen prefix of a fine-tune drops the caches of an earlier
+    # training pass and leaves the scope's alone.
+    net.forward(x, train=True)
+    first = net.scope_start(1)
+    net.forward(x, train=True, stop=first, grad=False)
+    for i, name in enumerate(net._order):
+        held = [p for p, layer in net._children[name].walk() if layer._cache is not None]
+        if i < first:
+            assert held == [], name
+        else:
+            assert held, name
+
+
+def test_grad_false_moves_bn_running_stats_like_a_training_pass():
+    cfg = model.ModelConfig.tiny(norm=NormSpec("bn"), proxy=False)
+    kept = model.build_model(cfg, make_rng(7))
+    dropped = model.build_model(cfg, make_rng(7))
+    start = {k: v.copy() for k, v in kept.buffers().items()}
+    rng = make_rng(8)
+    for _ in range(2):
+        x = rng.normal(size=(4, 3, 32, 32))
+        np.testing.assert_array_equal(dropped.forward(x, train=True, grad=False),
+                                      kept.forward(x, train=True))
+    moved = dropped.buffers()
+    assert any(name.endswith("running_var") for name in start)
+    for name, arr in kept.buffers().items():
+        assert not np.array_equal(arr, start[name]), name
+        np.testing.assert_array_equal(moved[name], arr, err_msg=name)
+
+
+def test_model_backward_after_an_eval_pass_raises():
+    rng = make_rng(9)
+    net = model.build_model(model.ModelConfig.tiny(), rng)
+    x = rng.normal(size=(2, 3, 32, 32))
+    y = net.forward(x, train=True)
+    net.forward(x, train=False)
+    net.zero_grads()
+    with pytest.raises(RuntimeError, match="train=False or grad=False"):
+        net.backward(np.ones_like(y))
+    assert not any(g.any() for g in net.grads().values())
+
+
+@pytest.mark.parametrize("size", ["tiny", "b0"])
+def test_backward_without_input_grad_keeps_every_parameter_grad(size):
+    rng = make_rng(10)
+    if size == "tiny":
+        cfg = model.ModelConfig.tiny()
+    else:
+        cfg = model.ModelConfig.efficientnet("b0", group_size=16, expansion=4,
+                                             norm=NormSpec("ln"), proxy=True, num_classes=2)
+    net = model.build_model(cfg, rng)
+    x = rng.normal(size=(2, 3, 32, 32))
+    dy = rng.normal(size=net.forward(x, train=True).shape)
+    # Down to the image, to a residual block (the identity shortcut's add
+    # is skipped), and to the last-1 fine-tune scope.
+    residual = next(i for i, name in enumerate(net._order)
+                    if name.startswith("blocks/") and net._children[name].dims.residual)
+    for stop in (0, residual, net.scope_start(1)):
+        net.zero_grads()
+        dx = net.backward(dy, stop=stop)
+        assert dx is not None
+        want = {k: v.copy() for k, v in net.grads().items()}
+        net.zero_grads()
+        assert net.backward(dy, stop=stop, input_grad=False) is None
+        for name, g in net.grads().items():
+            np.testing.assert_array_equal(g, want[name], err_msg=f"stop {stop}: {name}")
+
+
 def test_scope_prefixes_nest():
     rng = make_rng(6)
     net = model.build_model(model.ModelConfig.tiny(), rng)
