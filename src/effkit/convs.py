@@ -61,12 +61,8 @@ def round_group_size(requested: int, channels: int) -> int:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of one grouped convolution.
-
-    ``batch`` and ``field`` do not affect the kernel math (they come from the
-    input tensor); they carry the workload context that the intensity model
-    in :mod:`effkit.perf` needs.
-    """
+    """Geometry of one grouped convolution: channels, kernel, stride, group
+    size and padding. Batch and spatial size come from the input tensor."""
 
     in_channels: int
     out_channels: int
@@ -74,16 +70,10 @@ class ConvSpec:
     stride: int = 1
     group_size: int | None = None  # None means dense (G = in_channels)
     padding: str = "same"
-    batch: int | None = None
-    field: int | None = None
 
     def __post_init__(self):
         if min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1:
             raise ValueError(f"conv dimensions must be positive: {self}")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError(f"batch must be positive, got {self.batch}")
-        if self.field is not None and self.field < 1:
-            raise ValueError(f"field must be positive, got {self.field}")
         if self.padding not in PADDINGS:
             raise ValueError(f"unknown padding {self.padding!r}; use one of {PADDINGS}")
         g = self.resolved_group_size

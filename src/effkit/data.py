@@ -12,13 +12,12 @@ import numpy as np
 
 from .tensor import make_rng
 
+#: standard deviation of the additive Gaussian pixel noise
+NOISE = 0.1
+
 
 def blob_dataset(
-    n: int,
-    size: int = 32,
-    classes: int = 2,
-    seed: int = 0,
-    noise: float = 0.1,
+    n: int, size: int = 32, classes: int = 2, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns images (n, 3, size, size) float64 and labels (n,) int64."""
     if n < 1 or size < 8 or classes < 2:
@@ -36,7 +35,7 @@ def blob_dataset(
         cx = centers[labels[i]] + jitter[i, 1]
         bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma**2))
         x[i] = bump[None, :, :]
-    x += noise * rng.standard_normal(x.shape)
+    x += NOISE * rng.standard_normal(x.shape)
     return x, labels.astype(np.int64)
 
 

@@ -9,13 +9,14 @@ expands, compensating the parameter and compute cost of larger groups.
 
 ``build_model`` constructs the trainable layer tree; ``model_plan`` walks
 the same block arithmetic and emits flat layer dimensions for parameter,
-FLOP and roofline accounting without building anything.
+FLOP and roofline accounting without building anything. Both reject a
+resolution below ``min_resolution``, the one floor of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +36,8 @@ BASE_STAGES = (
 )
 BASE_STEM = 32
 BASE_HEAD = 1280
+#: every channel width is a multiple of this
+CHANNEL_DIVISOR = 8
 
 #: variant -> (width multiplier, depth multiplier, native resolution)
 VARIANTS = {
@@ -47,12 +50,13 @@ VARIANTS = {
 }
 
 
-def round_channels(value: float, divisor: int = 8) -> int:
-    """Round a scaled width to the nearest multiple of ``divisor``, never
-    dropping more than 10 percent."""
-    out = max(divisor, int(value + divisor / 2) // divisor * divisor)
+def round_channels(value: float) -> int:
+    """Round a scaled width to the nearest multiple of ``CHANNEL_DIVISOR``,
+    never dropping more than 10 percent."""
+    d = CHANNEL_DIVISOR
+    out = max(d, int(value + d / 2) // d * d)
     if out < 0.9 * value:
-        out += divisor
+        out += d
     return out
 
 
@@ -197,6 +201,12 @@ def block_dims(config: ModelConfig) -> list[BlockDims]:
     return out
 
 
+def min_resolution(config: ModelConfig) -> int:
+    """Smallest input extent the model takes: 2 to the number of stride-2
+    layers, the stem included, so the last of them still halves 2 to 1."""
+    return 2 ** (1 + sum(d.stride == 2 for d in block_dims(config)))
+
+
 # ---------------------------------------------------------------------------
 # Layer tree
 # ---------------------------------------------------------------------------
@@ -250,6 +260,7 @@ class EfficientNet(Layer):
         quad = QuadratureRule.gauss_hermite(config.quad_order) if config.proxy else None
         dims = block_dims(config)
         self.downsample_blocks = [i for i, d in enumerate(dims) if d.stride == 2]
+        self.min_resolution = min_resolution(config)
 
         self.add_child("stem_conv", Conv(ConvSpec(3, config.stem_channels, 3, 2), rng))
         self.add_child(
@@ -278,11 +289,10 @@ class EfficientNet(Layer):
         if start == 0:
             if x.ndim != 4 or x.shape[1] != 3:
                 raise ValueError(f"expected input (batch, 3, h, w), got shape {x.shape}")
-            floor = 2 ** (1 + len(self.downsample_blocks))
-            if min(x.shape[2], x.shape[3]) < floor:
+            if min(x.shape[2], x.shape[3]) < self.min_resolution:
                 raise ValueError(
-                    f"spatial extent {x.shape[2]}x{x.shape[3]} below the {floor} minimum "
-                    f"for {1 + len(self.downsample_blocks)} downsampling layers"
+                    f"spatial extent {x.shape[2]}x{x.shape[3]} below the model's "
+                    f"minimum resolution {self.min_resolution}"
                 )
         return super().forward(x, train, start, stop, grad=grad)
 
@@ -358,8 +368,9 @@ class NormDims:
 
 def model_plan(config: ModelConfig, resolution: int):
     """Flat list of ConvDims/DenseDims/NormDims in forward order."""
-    if resolution < 1:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    floor = min_resolution(config)
+    if resolution < floor:
+        raise ValueError(f"resolution {resolution} below the model's minimum {floor}")
     plan = []
     size = resolution
 
@@ -419,6 +430,15 @@ def entry_flops(entry) -> int:
     raise TypeError(f"unknown plan entry {entry!r}")
 
 
+def rows_csv(row_type, rows) -> str:
+    """CSV of dataclass rows: the field names of ``row_type``, then one line
+    per row."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    lines += [",".join(str(getattr(r, n)) for n in names) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class CostRow:
     layer: str
@@ -448,9 +468,7 @@ class CostReport:
         )
 
     def to_csv(self) -> str:
-        lines = ["layer,type,params,flops"]
-        lines += [f"{r.layer},{r.type},{r.params},{r.flops}" for r in self.rows]
-        return "\n".join(lines) + "\n"
+        return rows_csv(CostRow, self.rows)
 
 
 _KIND = {ConvDims: "conv", DenseDims: "dense", NormDims: "norm"}
@@ -458,8 +476,6 @@ _KIND = {ConvDims: "conv", DenseDims: "dense", NormDims: "norm"}
 
 def count_cost(config: ModelConfig, resolution: int) -> CostReport:
     """Parameter and per-sample FLOP totals with a per-layer breakdown."""
-    if resolution < 32:
-        raise ValueError(f"resolution must be at least 32, got {resolution}")
     rows = tuple(
         CostRow(e.name, _KIND[type(e)], entry_params(e), entry_flops(e))
         for e in model_plan(config, resolution)

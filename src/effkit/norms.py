@@ -39,7 +39,8 @@ NORM_KINDS = ("bn", "ln", "gn", "in")
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which normalizer to apply and with what grouping."""
+    """Which normalizer to apply and with what grouping; ``groups`` is gn's
+    group count, and every other kind keeps its default."""
 
     kind: str
     groups: int = GN_GROUPS
@@ -50,6 +51,8 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}; use one of {NORM_KINDS}")
         if self.groups < 1:
             raise ValueError(f"groups must be positive, got {self.groups}")
+        if self.kind != "gn" and self.groups != GN_GROUPS:
+            raise ValueError(f"groups={self.groups} applies to gn only, not {self.kind}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
 

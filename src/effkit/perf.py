@@ -8,9 +8,12 @@ element is
 
 under the assumption that weights (k^2 G^2 N elements) and input
 activations (B f^2 G N elements) are both always transferred; output
-activations are not counted. N cancels. The numerator amortizes the stride
-once (f^2/s), exactly as the closed form is stated; conversion to bytes
-happens only through HardwareProfile.bytes_per_element.
+activations are not counted. N cancels, so ``intensity(g, k, b, f, s)``
+takes the other five factors and the model is flat in N by construction.
+The numerator amortizes the stride once (f^2/s), exactly as the closed form
+is stated; conversion to bytes happens only through
+HardwareProfile.bytes_per_element. ``roofline`` evaluates it for every
+convolution of a ``model_plan``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .convs import ConvSpec
-from .model import ConvDims, ModelConfig, model_plan
+from .model import ConvDims, ModelConfig, model_plan, rows_csv
 
 MONOTONIC_FIELDS = ("G", "k", "B", "f", "s", "N")
 
 
-def _intensity(g: float, k: float, b: float, f: float, s: float) -> float:
+def intensity(g: float, k: float, b: float, f: float, s: float) -> float:
+    """FLOPs per transferred element for one convolution workload."""
     if min(g, k, b, f, s) <= 0:
         raise ValueError("all intensity factors must be positive")
     compute = g * k * k * b * f * f
@@ -32,37 +35,19 @@ def _intensity(g: float, k: float, b: float, f: float, s: float) -> float:
     return compute / (s * transfer)
 
 
-def intensity(spec: ConvSpec) -> float:
-    """FLOPs per transferred element for one convolution workload."""
-    if spec.batch is None or spec.field is None:
-        raise ValueError("spec must carry batch and field for intensity")
-    return _intensity(
-        spec.resolved_group_size, spec.kernel, spec.batch, spec.field, spec.stride
-    )
-
-
-def monotonicity_check(spec: ConvSpec, field: str) -> tuple[float, float]:
+def monotonicity_check(factors, field: str) -> tuple[float, float]:
     """Evaluate I before and after incrementing one factor and assert the
     expected direction: increasing in G, k, B, f; decreasing in s; flat in N.
 
-    Returns (before, after).
+    ``factors`` maps each of ``MONOTONIC_FIELDS`` to its value. Returns
+    (before, after).
     """
-    if spec.batch is None or spec.field is None:
-        raise ValueError("spec must carry batch and field for intensity")
     if field not in MONOTONIC_FIELDS:
         raise ValueError(f"unknown field {field!r}; use one of {MONOTONIC_FIELDS}")
-    factors = {
-        "G": spec.resolved_group_size,
-        "k": spec.kernel,
-        "B": spec.batch,
-        "f": spec.field,
-        "s": spec.stride,
-        "N": spec.groups,
-    }
-    before = _intensity(factors["G"], factors["k"], factors["B"], factors["f"], factors["s"])
+    before = intensity(*(factors[n] for n in "GkBfs"))
     bumped = dict(factors)
     bumped[field] += 1
-    after = _intensity(bumped["G"], bumped["k"], bumped["B"], bumped["f"], bumped["s"])
+    after = intensity(*(bumped[n] for n in "GkBfs"))
     if field == "N":
         ok = after == before
     elif field == "s":
@@ -130,13 +115,7 @@ class IntensityReport:
     ridge: float
 
     def to_csv(self) -> str:
-        lines = ["layer,G,N,k,s,f,B,flops,elements,intensity,bound"]
-        for r in self.rows:
-            lines.append(
-                f"{r.layer},{r.G},{r.N},{r.k},{r.s},{r.f},{r.B},"
-                f"{r.flops},{r.elements},{r.intensity},{r.bound}"
-            )
-        return "\n".join(lines) + "\n"
+        return rows_csv(RooflineRow, self.rows)
 
     def summary(self) -> str:
         memory = sum(1 for r in self.rows if r.bound == "memory")
@@ -163,7 +142,7 @@ def roofline(
         k, s, f = entry.kernel, entry.stride, entry.in_size
         flops = g * g * k * k * batch * f * f * n / s
         elements = k * k * g * g * n + batch * f * f * g * n
-        i = _intensity(g, k, batch, f, s)
+        i = intensity(g, k, batch, f, s)
         rows.append(
             RooflineRow(
                 layer=entry.name, G=g, N=n, k=k, s=s, f=f, B=batch,

@@ -57,13 +57,19 @@ def rel_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def within_published(value: float, printed: float, rel: float = 0.05, ulp: float = 0.1) -> bool:
+#: relative band and print step (one decimal place) of the published tables
+PUBLISHED_REL = 0.05
+PRINT_ULP = 0.1
+
+
+def within_published(value: float, printed: float) -> bool:
     """5% band around a table value printed to one decimal place.
 
     The print quantization contributes up to half an ulp of error on top of
-    any modelling difference, so the band is rel * printed + ulp / 2.
+    any modelling difference, so the band is PUBLISHED_REL * printed +
+    PRINT_ULP / 2.
     """
-    return abs(value - printed) <= rel * printed + 0.5 * ulp
+    return abs(value - printed) <= PUBLISHED_REL * printed + 0.5 * PRINT_ULP
 
 
 def fd_check(value_fn, array: np.ndarray, analytic: np.ndarray, rng, samples: int = 12) -> float:

@@ -4,6 +4,7 @@ Everything runs in process through main(argv) so coverage tools see it and
 no subprocess overhead is paid.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -291,6 +292,42 @@ def test_roofline_bad_profile_exits_2(tmp_path, capsys):
     assert "unknown hardware profile keys" in stderr
 
 
+def test_report_resolution_floor_follows_the_model(tmp_path, capsys):
+    # tiny has two stride-2 layers, so 16 px is above its floor of 4; b0 has
+    # five, and its forward pass rejects 8 px, so its reports do too.
+    rc, stdout, _ = run(["count", "--size", "tiny", "--resolution", "16",
+                         "--out", str(tmp_path / "tiny")], capsys)
+    assert rc == 0
+    assert "at resolution 16" in stdout
+    profile = tmp_path / "hw.json"
+    profile.write_text(json.dumps(PROFILE))
+    out = tmp_path / "b0"
+    rc, _, stderr = run(["roofline", "--size", "b0", "--resolution", "8", "--profile",
+                         str(profile), "--out", str(out)], capsys)
+    assert rc == 2
+    assert "below the model's minimum 32" in stderr
+    assert not (out / "roofline.csv").exists()
+
+
+def test_report_csv_bytes_are_pinned(tmp_path, capsys):
+    # b0 G=16 E=4 @224; roofline at batch 8 on the README's profile.
+    profile = tmp_path / "hw.json"
+    profile.write_text(json.dumps(PROFILE))
+    model = ["--size", "b0", "--group-size", "16", "--expansion", "4", "--resolution", "224"]
+    digests = {}
+    for sub, extra, csv in [("count", [], "cost.csv"),
+                            ("roofline", ["--batch", "8", "--profile", str(profile)],
+                             "roofline.csv")]:
+        out = tmp_path / sub
+        rc, _, _ = run([sub, *model, *extra, "--out", str(out)], capsys)
+        assert rc == 0
+        digests[csv] = hashlib.sha256((out / csv).read_bytes()).hexdigest()
+    assert digests == {
+        "cost.csv": "b3015aac2d9818250590d4379d1355e582a571bb76493ca4a097adae00c71fbc",
+        "roofline.csv": "df7eccafa9b23e6b99cebd5f36408d1c8c43e180f94f27f01c28680629a3c8c7",
+    }
+
+
 # --------------------------------------------- every report flag acts
 
 @pytest.mark.parametrize("sub", ["count", "roofline"])
@@ -448,6 +485,17 @@ def test_train_rejects_bad_micro_batch(flags, tmp_path, capsys):
     rc, _, stderr = run(["train", "--steps", "2", "--out", str(out), *flags], capsys)
     assert rc == 2
     assert "micro-batch" in stderr
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("norm", ["ln", "bn", "in"])
+def test_train_rejects_gn_groups_without_gn(norm, tmp_path, capsys):
+    # --gn-groups sets gn's group count; with another norm it would change nothing.
+    out = tmp_path / "run"
+    rc, _, stderr = run(["train", "--norm", norm, "--gn-groups", "2", "--steps", "1",
+                         "--samples", "16", "--out", str(out)], capsys)
+    assert rc == 2
+    assert "gn only" in stderr
     assert not (out / "checkpoint.bin").exists()
 
 

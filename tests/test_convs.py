@@ -64,8 +64,6 @@ def test_conv_spec_validation():
         convs.ConvSpec(4, 4, 3, padding="full")
     with pytest.raises(ValueError):
         convs.ConvSpec(0, 4, 3)
-    with pytest.raises(ValueError):
-        convs.ConvSpec(4, 4, 3, batch=0)
 
 
 def test_conv_spec_group_accessors():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from effkit import layers, model
+from effkit import layers, model, resolution
 from effkit.convs import ConvSpec
 from effkit.norms import NormSpec
 from effkit.tensor import make_rng
@@ -264,9 +264,31 @@ def test_conv_flops_match_mac_oracle():
 
 
 def test_count_cost_rejects_tiny_resolutions():
-    cfg = model.ModelConfig.tiny()
+    # The floor is the model's own: tiny has two stride-2 layers, b0 five.
     with pytest.raises(ValueError):
-        model.count_cost(cfg, 31)
+        model.count_cost(model.ModelConfig.tiny(), 3)
+    with pytest.raises(ValueError):
+        model.count_cost(model.ModelConfig.efficientnet("b0"), 31)
+    assert model.count_cost(model.ModelConfig.tiny(), 4).rows
+
+
+def test_min_resolution_of_every_variant_is_the_congruence_modulus():
+    for variant in model.VARIANTS:
+        cfg = model.ModelConfig.efficientnet(variant)
+        assert model.min_resolution(cfg) == 2**resolution.N_DOWNSAMPLES, variant
+    assert model.min_resolution(model.ModelConfig.tiny()) == 4
+
+
+@pytest.mark.parametrize("cfg", [model.ModelConfig.tiny(), model.ModelConfig.efficientnet("b0")],
+                         ids=["tiny", "b0"])
+def test_forward_runs_at_the_floor_and_rejects_below(cfg):
+    rng = make_rng(5)
+    net = model.build_model(cfg, rng)
+    floor = model.min_resolution(cfg)
+    with pytest.raises(ValueError, match="minimum resolution"):
+        net.forward(rng.normal(size=(1, 3, floor - 1, floor - 1)), train=False)
+    logits = net.forward(rng.normal(size=(1, 3, floor, floor)), train=False)
+    assert logits.shape == (1, cfg.num_classes)
 
 
 def test_cost_report_formats():

@@ -33,6 +33,14 @@ def test_norm_spec_validation():
     assert norms.NormSpec("ln", epsilon=0.0).epsilon == 0.0
 
 
+@pytest.mark.parametrize("kind", ["bn", "ln", "in"])
+def test_norm_spec_takes_groups_for_gn_only(kind):
+    # Only gn reads groups; any other kind given a group count would ignore it.
+    with pytest.raises(ValueError, match="gn only"):
+        norms.NormSpec(kind, groups=2)
+    assert norms.NormSpec(kind, groups=norms.GN_GROUPS) == norms.NormSpec(kind)
+
+
 def test_norm_spec_batch_dependence_flag():
     assert norms.NormSpec("bn").batch_dependent
     for kind in ("ln", "gn", "in"):

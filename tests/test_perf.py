@@ -8,62 +8,34 @@ import numpy as np
 import pytest
 
 from effkit import perf
-from effkit.convs import ConvSpec
 from effkit.model import ModelConfig
 from effkit.tensor import make_rng
 
 
-def spec_for(g, k, b, f, s, n=1):
-    return ConvSpec(
-        in_channels=g * n,
-        out_channels=g * n,
-        kernel=k,
-        stride=s,
-        group_size=g,
-        batch=b,
-        field=f,
-    )
-
-
 def test_intensity_symmetric_case():
     # G k^2 == B f^2 == a at stride 1 gives I = a/2.
-    assert perf.intensity(spec_for(1, 2, 1, 2, 1)) == pytest.approx(2.0, abs=1e-12)
-    assert perf.intensity(spec_for(9, 2, 4, 3, 1)) == pytest.approx(18.0, abs=1e-12)
+    assert perf.intensity(1, 2, 1, 2, 1) == pytest.approx(2.0, abs=1e-12)
+    assert perf.intensity(9, 2, 4, 3, 1) == pytest.approx(18.0, abs=1e-12)
 
 
 def test_intensity_hand_evaluated_case():
     # G=16, k=3, B=1, f=7, s=1: (16*9*49) / (16*9 + 49) = 7056/193
-    got = perf.intensity(spec_for(16, 3, 1, 7, 1))
+    got = perf.intensity(16, 3, 1, 7, 1)
     want = Fraction(7056, 193)
     assert abs(got - float(want)) <= 1e-9
 
 
-def test_intensity_requires_workload_context():
-    bare = ConvSpec(16, 16, 3, group_size=16)
-    with pytest.raises(ValueError):
-        perf.intensity(bare)
-    with pytest.raises(ValueError):
-        perf.monotonicity_check(bare, "G")
-
-
-def test_intensity_is_independent_of_group_count():
-    for n in (1, 2, 3, 8):
-        assert perf.intensity(spec_for(4, 3, 2, 9, 1, n=n)) == perf.intensity(
-            spec_for(4, 3, 2, 9, 1, n=1)
-        )
-
-
 def test_monotonicity_directions_single_steps():
-    spec = spec_for(4, 3, 2, 9, 2, n=2)
+    factors = {"G": 4, "k": 3, "B": 2, "f": 9, "s": 2, "N": 2}
     for field in ("G", "k", "B", "f"):
-        before, after = perf.monotonicity_check(spec, field)
+        before, after = perf.monotonicity_check(factors, field)
         assert after > before
-    before, after = perf.monotonicity_check(spec, "s")
+    before, after = perf.monotonicity_check(factors, "s")
     assert after < before
-    before, after = perf.monotonicity_check(spec, "N")
+    before, after = perf.monotonicity_check(factors, "N")
     assert after == before
     with pytest.raises(ValueError):
-        perf.monotonicity_check(spec, "Q")
+        perf.monotonicity_check(factors, "Q")
 
 
 def test_monotonicity_randomized_grid():
@@ -77,12 +49,12 @@ def test_monotonicity_randomized_grid():
         b = int(rng.integers(1, 65))
         f = int(rng.integers(1, 129))
         s = int(rng.integers(1, 4))
-        base = perf._intensity(g, k, b, f, s)
-        assert perf._intensity(g + 1, k, b, f, s) > base
-        assert perf._intensity(g, k + 1, b, f, s) > base
-        assert perf._intensity(g, k, b + 1, f, s) > base
-        assert perf._intensity(g, k, b, f + 1, s) > base
-        assert perf._intensity(g, k, b, f, s + 1) < base
+        base = perf.intensity(g, k, b, f, s)
+        assert perf.intensity(g + 1, k, b, f, s) > base
+        assert perf.intensity(g, k + 1, b, f, s) > base
+        assert perf.intensity(g, k, b + 1, f, s) > base
+        assert perf.intensity(g, k, b, f + 1, s) > base
+        assert perf.intensity(g, k, b, f, s + 1) < base
         # harmonic-style upper bound by either term
         assert base <= min(g * k * k, b * f * f) / s + 1e-12
     assert time.time() - start < 5.0
@@ -90,7 +62,7 @@ def test_monotonicity_randomized_grid():
 
 def test_intensity_rejects_nonpositive_factors():
     with pytest.raises(ValueError):
-        perf._intensity(0, 3, 1, 7, 1)
+        perf.intensity(0, 3, 1, 7, 1)
 
 
 # ---------------------------------------------------------------------------

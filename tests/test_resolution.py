@@ -33,7 +33,7 @@ def test_congruent_validates_floor():
     with pytest.raises(ValueError):
         resolution.congruent(16, 224)
     with pytest.raises(ValueError):
-        resolution.ResolutionPair(224, 31)
+        resolution.congruent(224, 31)
 
 
 def test_congruent_is_an_equivalence_relation():
