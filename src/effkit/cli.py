@@ -31,6 +31,7 @@ from .model import (
 from .norms import NORM_KINDS, NormSpec
 from .perf import HardwareProfile, roofline
 from .resolution import (
+    MAX_TEST_RESOLUTION,
     congruent,
     half_resolution,
     parity_profile,
@@ -49,7 +50,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
 
     parser.add_argument("--config", default=default(None),
                         help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, default=default(0), help="random seed")
     parser.add_argument("--out", default=default("effkit_out"), help="output directory")
 
 
@@ -71,6 +71,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sp.add_argument("--expansion", type=int, default=expansion)
 
     def add_data_flags(sp):
+        sp.add_argument("--seed", type=int, default=0, help="random seed")
         sp.add_argument("--samples", type=int, default=256)
         sp.add_argument("--image-size", type=int, default=32, dest="image_size")
 
@@ -88,7 +89,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = subs.add_parser("resolution", parents=[shared], help="congruence and half-resolution tools")
     sp.add_argument("--train", type=int, help="list test resolutions for this train size")
-    sp.add_argument("--max", type=int, default=704, help="upper bound for the listing")
+    sp.add_argument("--max", type=int, help="upper bound for the --train listing")
     sp.add_argument("--half", type=int, help="half resolution for this native size")
     sp.add_argument("--check", type=int, nargs=2, metavar=("TRAIN", "TEST"))
     sp.add_argument("--parity", type=int, help="parity profile for this size")
@@ -135,10 +136,11 @@ def resolve_options(argv) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         raw.pop("subcommand", None)
-        # The subcommands share one --seed/--out action, and set_defaults
-        # writes into it: the file's seed and out go to the top-level
-        # parser only, or they would beat a flag given before the subcommand.
-        parser.set_defaults(**{k: raw.pop(k) for k in ("seed", "out") if k in raw})
+        # The subcommands share one --out action, and set_defaults writes
+        # into it: the file's out goes to the top-level parser only, or it
+        # would beat a flag given before the subcommand.
+        if "out" in raw:
+            parser.set_defaults(out=raw.pop("out"))
         subparsers[args.subcommand].set_defaults(**raw)
         args = parser.parse_args(argv)
     eff = vars(args)
@@ -207,8 +209,9 @@ def cmd_roofline(eff: dict) -> int:
 
 
 def cmd_resolution(eff: dict) -> int:
-    if eff["csv"] and eff["train"] is None:
-        raise ValueError("--csv writes the listing of --train; give --train")
+    if eff["train"] is None and (eff["csv"] or eff["max"] is not None):
+        flag = "--csv" if eff["csv"] else "--max"
+        raise ValueError(f"{flag} applies to the listing of --train; give --train")
     acted = False
     if eff["check"] is not None:
         a, b = eff["check"]
@@ -222,8 +225,9 @@ def cmd_resolution(eff: dict) -> int:
         print(f"parity_profile({eff['parity']}) = {' '.join(profile)}")
         acted = True
     if eff["train"] is not None:
-        values = valid_test_resolutions(eff["train"], max_r=eff["max"])
-        print(f"valid test resolutions for {eff['train']} (max {eff['max']}):")
+        max_r = MAX_TEST_RESOLUTION if eff["max"] is None else eff["max"]
+        values = valid_test_resolutions(eff["train"], max_r)
+        print(f"valid test resolutions for {eff['train']} (max {max_r}):")
         print(" ".join(str(v) for v in values))
         acted = True
     if not acted:

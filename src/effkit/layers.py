@@ -25,9 +25,9 @@ import numpy as np
 
 from .convs import ConvSpec, conv_backward, conv_forward
 from .norms import (
+    QUAD_RULE,
     Activation,
     NormSpec,
-    QuadratureRule,
     get_activation,
     normalize,
     normalize_backward,
@@ -199,14 +199,7 @@ class NormAct(Layer):
 
     BN_MOMENTUM = 0.99
 
-    def __init__(
-        self,
-        channels: int,
-        spec: NormSpec,
-        activation: str = "swish",
-        proxy: bool = False,
-        quad: QuadratureRule | None = None,
-    ):
+    def __init__(self, channels: int, spec: NormSpec, activation: str = "swish", proxy: bool = False):
         super().__init__()
         self.spec = spec
         self.act: Activation = get_activation(activation)
@@ -214,7 +207,6 @@ class NormAct(Layer):
         self.gamma = self.add_param("gamma", np.ones(channels))
         self.beta = self.add_param("beta", np.zeros(channels))
         if proxy:
-            self.quad = quad if quad is not None else QuadratureRule.gauss_hermite()
             self.proxy_beta = self.add_param("proxy_beta", np.zeros(channels))
             self.proxy_gamma = self.add_param("proxy_gamma", np.zeros(channels))
         if spec.kind == "bn":
@@ -234,7 +226,7 @@ class NormAct(Layer):
             self.running_var += (1.0 - m) * var
         if self.proxy:
             z, acache = pn_activation(
-                y, self.gamma, self.beta, self.proxy_beta, self.proxy_gamma, self.act, self.quad
+                y, self.gamma, self.beta, self.proxy_beta, self.proxy_gamma, self.act, QUAD_RULE
             )
         else:
             z, acache = scaled_activation(y, self.gamma, self.beta, self.act)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .convs import ConvSpec, round_group_size
 from .layers import Conv, GlobalAvgPool, Layer, Linear, NormAct, SqueezeExcite
-from .norms import NormSpec, QuadratureRule
+from .norms import EPSILON, QUAD_ORDER, NormSpec
 
 #: (channels, repeats, kernel, stride, expand) before width/depth scaling.
 BASE_STAGES = (
@@ -38,6 +38,8 @@ BASE_STEM = 32
 BASE_HEAD = 1280
 #: every channel width is a multiple of this
 CHANNEL_DIVISOR = 8
+#: squeeze-excite reduction: a block's input width times this, floored
+SE_RATIO = 0.25
 
 #: variant -> (width multiplier, depth multiplier, native resolution)
 VARIANTS = {
@@ -87,11 +89,9 @@ class ModelConfig:
     head_channels: int
     num_classes: int = 1000
     group_size: int = 1
-    se_ratio: float = 0.25
     norm: NormSpec = field(default_factory=lambda: NormSpec("bn"))
     proxy: bool = False
     activation: str = "swish"
-    quad_order: int = 30
 
     def __post_init__(self):
         if self.num_classes < 1:
@@ -144,14 +144,25 @@ class ModelConfig:
 
 
 def config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
+    """The config's fields plus the constants the weights are trained under
+    (``SE_RATIO``, ``QUAD_ORDER``, the norm's ``EPSILON``), as checkpoints hold."""
+    raw = asdict(config)
+    raw["norm"]["epsilon"] = EPSILON
+    return {**raw, "se_ratio": SE_RATIO, "quad_order": QUAD_ORDER}
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
-    """Inverse of ``config_to_dict``; a malformed dict raises ``ValueError``."""
+    """Inverse of ``config_to_dict``; a malformed dict, or one that records a
+    constant other than this model's, raises ``ValueError``."""
     try:
         raw = dict(raw)
-        raw["norm"] = NormSpec(**raw["norm"])
+        norm = dict(raw["norm"])
+        for held, key, constant in ((norm, "epsilon", EPSILON), (raw, "se_ratio", SE_RATIO),
+                                    (raw, "quad_order", QUAD_ORDER)):
+            value = held.pop(key, constant)
+            if value != constant:
+                raise ValueError(f"model_config {key}={value!r}, not the fixed {constant!r}")
+        raw["norm"] = NormSpec(**norm)
         raw["stages"] = tuple(StageSpec(**s) for s in raw["stages"])
         return ModelConfig(**raw)
     except KeyError as exc:
@@ -194,7 +205,7 @@ def block_dims(config: ModelConfig) -> list[BlockDims]:
                     expand=stage.expand,
                     mid_channels=mid,
                     group_size=round_group_size(config.group_size, mid),
-                    se_reduced=max(1, int(c_in * config.se_ratio)),
+                    se_reduced=max(1, int(c_in * SE_RATIO)),
                 )
             )
             c_in = stage.channels
@@ -212,33 +223,34 @@ def min_resolution(config: ModelConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _norm_act(config: ModelConfig, channels: int) -> NormAct:
+    """A NormAct with the config's norm, activation and proxy setting."""
+    return NormAct(channels, config.norm, config.activation, proxy=config.proxy)
+
+
 class MBConv(Layer):
     """Expand 1x1 -> grouped kxk -> squeeze-excite -> project 1x1, with an
     identity shortcut when shapes allow. The projection norm keeps an
     identity activation and never proxy-normalizes (there is no activation
     to recenter)."""
 
-    def __init__(self, dims: BlockDims, config: ModelConfig, rng, quad):
+    def __init__(self, dims: BlockDims, config: ModelConfig, rng):
         super().__init__()
         self.dims = dims
         mid = dims.mid_channels
-
-        def normact(channels, activation=config.activation, proxy=config.proxy):
-            return NormAct(channels, config.norm, activation, proxy=proxy, quad=quad)
-
         if dims.expand != 1:
             self.add_child(
                 "expand_conv", Conv(ConvSpec(dims.in_channels, mid, 1), rng)
             )
-            self.add_child("expand_norm", normact(mid))
+            self.add_child("expand_norm", _norm_act(config, mid))
         self.add_child(
             "spatial_conv",
             Conv(ConvSpec(mid, mid, dims.kernel, dims.stride, dims.group_size), rng),
         )
-        self.add_child("spatial_norm", normact(mid))
+        self.add_child("spatial_norm", _norm_act(config, mid))
         self.add_child("se", SqueezeExcite(mid, dims.se_reduced, rng))
         self.add_child("project_conv", Conv(ConvSpec(mid, dims.out_channels, 1), rng))
-        self.add_child("project_norm", normact(dims.out_channels, "identity", proxy=False))
+        self.add_child("project_norm", NormAct(dims.out_channels, config.norm, "identity"))
 
     def forward(self, x, train=True, grad=True):
         h = super().forward(x, train, grad=grad)
@@ -257,26 +269,17 @@ class EfficientNet(Layer):
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
-        quad = QuadratureRule.gauss_hermite(config.quad_order) if config.proxy else None
         dims = block_dims(config)
         self.downsample_blocks = [i for i, d in enumerate(dims) if d.stride == 2]
         self.min_resolution = min_resolution(config)
 
         self.add_child("stem_conv", Conv(ConvSpec(3, config.stem_channels, 3, 2), rng))
-        self.add_child(
-            "stem_norm",
-            NormAct(config.stem_channels, config.norm, config.activation,
-                    proxy=config.proxy, quad=quad),
-        )
+        self.add_child("stem_norm", _norm_act(config, config.stem_channels))
         for i, d in enumerate(dims):
-            self.add_child(f"blocks/{i}", MBConv(d, config, rng, quad))
+            self.add_child(f"blocks/{i}", MBConv(d, config, rng))
         last = dims[-1].out_channels if dims else config.stem_channels
         self.add_child("head_conv", Conv(ConvSpec(last, config.head_channels, 1), rng))
-        self.add_child(
-            "head_norm",
-            NormAct(config.head_channels, config.norm, config.activation,
-                    proxy=config.proxy, quad=quad),
-        )
+        self.add_child("head_norm", _norm_act(config, config.head_channels))
         self.add_child("pool", GlobalAvgPool())
         self.add_child("classifier", Linear(config.head_channels, config.num_classes, rng))
 

@@ -29,6 +29,8 @@ from typing import Callable
 
 import numpy as np
 
+# Fixed settings: the normalizers' epsilon, the proxy's epsilon~, gn's default
+# group count and the order of ``QUAD_RULE`` (Labatie et al. 2021).
 EPSILON = 1e-3
 EPSILON_TILDE = 3e-2
 GN_GROUPS = 4
@@ -44,7 +46,6 @@ class NormSpec:
 
     kind: str
     groups: int = GN_GROUPS
-    epsilon: float = EPSILON
 
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
@@ -53,8 +54,6 @@ class NormSpec:
             raise ValueError(f"groups must be positive, got {self.groups}")
         if self.kind != "gn" and self.groups != GN_GROUPS:
             raise ValueError(f"groups={self.groups} applies to gn only, not {self.kind}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
 
     @property
     def batch_dependent(self) -> bool:
@@ -83,7 +82,6 @@ class NormSpec:
 
 @dataclass(frozen=True)
 class Activation:
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
 
@@ -120,13 +118,9 @@ def _swish_deriv(x: np.ndarray) -> np.ndarray:
 
 
 ACTIVATIONS = {
-    "identity": Activation("identity", lambda x: x, lambda x: np.ones_like(x)),
-    "relu": Activation(
-        "relu",
-        lambda x: np.maximum(x, 0.0),
-        lambda x: (x > 0.0).astype(np.float64),
-    ),
-    "swish": Activation("swish", _swish, _swish_deriv),
+    "identity": Activation(lambda x: x, lambda x: np.ones_like(x)),
+    "relu": Activation(lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
+    "swish": Activation(_swish, _swish_deriv),
 }
 
 
@@ -150,7 +144,7 @@ class QuadratureRule:
     weights: np.ndarray
 
     @classmethod
-    def gauss_hermite(cls, order: int = QUAD_ORDER) -> "QuadratureRule":
+    def gauss_hermite(cls, order: int) -> "QuadratureRule":
         if order < 1:
             raise ValueError(f"order must be positive, got {order}")
         x, w = np.polynomial.hermite.hermgauss(order)
@@ -162,6 +156,11 @@ class QuadratureRule:
         sigma = np.asarray(sigma, dtype=np.float64)
         pts = mu[..., None] + sigma[..., None] * self.nodes
         return fn(pts) @ self.weights
+
+
+#: The rule of every proxy-normalized activation, built once: ``NormAct``
+#: reads it rather than building one per layer.
+QUAD_RULE = QuadratureRule.gauss_hermite(QUAD_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def normalize(x: np.ndarray, spec: NormSpec, stats=None):
         mean = x.mean(axis=2, keepdims=True)
         var = x.var(axis=2, keepdims=True)
         cache = {"mode": "dynamic", "axes": 2}
-    inv = 1.0 / np.sqrt(var + spec.epsilon)
+    inv = 1.0 / np.sqrt(var + EPSILON)
     y = (x - mean) * inv
     cache.update(y=y, inv=inv)
     return y.reshape(shape), cache
@@ -244,6 +243,18 @@ def scaled_activation_backward(cache, dz: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _proxy_points(gamma, beta, proxy_beta, proxy_gamma, act, quad):
+    """Per channel and quadrature node, the proxy variable u, the activation
+    input a = gamma * u + beta and phi = act(a); returns (u, a, phi, E[phi])."""
+    if quad.nodes.size < 2:
+        # One node cannot capture second moments; the variance would be 0.
+        raise ValueError(f"quadrature order must be at least 2, got {quad.nodes.size}")
+    u = proxy_beta[:, None] + (1.0 + proxy_gamma)[:, None] * quad.nodes[None, :]
+    a = gamma[:, None] * u + beta[:, None]
+    phi = act.fn(a)
+    return u, a, phi, phi @ quad.weights
+
+
 def proxy_moments(
     gamma: np.ndarray,
     beta: np.ndarray,
@@ -254,16 +265,8 @@ def proxy_moments(
 ):
     """Per-channel mean/variance of act(gamma * Y + beta) for the proxy
     variable Y ~ N(proxy_beta, (1 + proxy_gamma)^2); returns (mean, var)."""
-    if quad.nodes.size < 2:
-        # One node cannot capture second moments; the variance would be 0.
-        raise ValueError(f"quadrature order must be at least 2, got {quad.nodes.size}")
-    t = quad.nodes
-    w = quad.weights
-    u = proxy_beta[:, None] + (1.0 + proxy_gamma)[:, None] * t[None, :]
-    a = gamma[:, None] * u + beta[:, None]
-    phi = act.fn(a)
-    m = phi @ w
-    e2 = (phi * phi) @ w
+    _, _, phi, m = _proxy_points(gamma, beta, proxy_beta, proxy_gamma, act, quad)
+    e2 = (phi * phi) @ quad.weights
     return m, e2 - m * m
 
 
@@ -277,25 +280,17 @@ def proxy_moment_grads(
 ):
     """Analytic derivatives of the proxy mean and variance.
 
-    Returns (m, var, dm, dvar) where dm/dvar map parameter name to the
-    per-channel derivative array, for names gamma, beta, proxy_beta,
-    proxy_gamma.
+    Returns (dm, dvar), each mapping parameter name to the per-channel
+    derivative array, for names gamma, beta, proxy_beta, proxy_gamma.
     """
-    t = quad.nodes
-    w = quad.weights
-    u = proxy_beta[:, None] + (1.0 + proxy_gamma)[:, None] * t[None, :]
-    a = gamma[:, None] * u + beta[:, None]
-    phi = act.fn(a)
+    u, a, phi, m = _proxy_points(gamma, beta, proxy_beta, proxy_gamma, act, quad)
     dphi = act.deriv(a)
-    m = phi @ w
-    e2 = (phi * phi) @ w
-    var = e2 - m * m
-
+    w = quad.weights
     da = {
         "gamma": u,
         "beta": np.ones_like(u),
         "proxy_beta": np.broadcast_to(gamma[:, None], u.shape),
-        "proxy_gamma": gamma[:, None] * t[None, :],
+        "proxy_gamma": gamma[:, None] * quad.nodes[None, :],
     }
     dm = {}
     dvar = {}
@@ -303,7 +298,7 @@ def proxy_moment_grads(
         dm[name] = (dphi * d) @ w
         de2 = (2.0 * phi * dphi * d) @ w
         dvar[name] = de2 - 2.0 * m * dm[name]
-    return m, var, dm, dvar
+    return dm, dvar
 
 
 def pn_activation(
@@ -314,7 +309,6 @@ def pn_activation(
     proxy_gamma: np.ndarray,
     act: Activation,
     quad: QuadratureRule,
-    epsilon_tilde: float = EPSILON_TILDE,
 ):
     """z = (act(gamma*y + beta) - m) / sqrt(v + eps~) with (m, v) the proxy
     moments: ``scaled_activation`` recentered and rescaled; returns
@@ -322,7 +316,7 @@ def pn_activation(
     z0, cache = scaled_activation(y, gamma, beta, act)
     proxy = (gamma, beta, proxy_beta, proxy_gamma, act, quad)
     m, var = proxy_moments(*proxy)
-    s = np.sqrt(var + epsilon_tilde)
+    s = np.sqrt(var + EPSILON_TILDE)
     c = y.shape[1]
     z = (z0 - m.reshape(1, c, 1, 1)) / s.reshape(1, c, 1, 1)
     cache.update(z=z, s=s, proxy=proxy)
@@ -341,6 +335,6 @@ def pn_activation_backward(cache, dz: np.ndarray):
     # z = (z0 - m)/s: dL/dm = -sum(dz)/s and dL/dvar = -sum(dz * z)/(2 s^2).
     dl_dm = -dz.sum(axis=(0, 2, 3)) / s
     dl_dvar = -(dz * cache["z"]).sum(axis=(0, 2, 3)) / (2.0 * s**2)
-    _, _, dm, dvar = proxy_moment_grads(*cache["proxy"])
+    dm, dvar = proxy_moment_grads(*cache["proxy"])
     d = {name: dl_dm * dm[name] + dl_dvar * dvar[name] for name in dm}
     return dy, dgamma + d["gamma"], dbeta + d["beta"], d["proxy_beta"], d["proxy_gamma"]

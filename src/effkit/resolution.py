@@ -22,6 +22,8 @@ from .model import ConvDims
 N_DOWNSAMPLES = 5
 #: the congruence modulus, and the smallest resolution the stride-2 layers admit
 MODULUS = 2**N_DOWNSAMPLES
+#: the default upper bound of ``valid_test_resolutions``
+MAX_TEST_RESOLUTION = 704
 
 #: native training resolution -> canonical half-resolution choice
 HALF_RESOLUTIONS = {224: 160, 240: 176, 260: 192, 300: 204, 380: 252, 456: 328}
@@ -59,7 +61,7 @@ def plan_parity_profile(plan) -> list[str]:
     ]
 
 
-def valid_test_resolutions(train_r: int, max_r: int = 704) -> list[int]:
+def valid_test_resolutions(train_r: int, max_r: int = MAX_TEST_RESOLUTION) -> list[int]:
     """Ascending test/fine-tune resolutions congruent with ``train_r``,
     from ``train_r`` up to ``max_r``."""
     if train_r < MODULUS:

@@ -31,39 +31,44 @@ RMSPROP_BLOCK = 1 << 14  # elements per block of rmsprop_step: 128 KB of float64
 
 @dataclass(frozen=True)
 class TrainRecipe:
+    """A training run's settings; the rest of EfficientNet's recipe (Tan & Le
+    2019) is fixed. Its constants are class attributes, not fields, so the
+    constructor and ``asdict`` do not see them; ``CONSTANTS`` names them and
+    the derived ``rmsprop_decay`` for ``recipe_fingerprint``."""
+
     global_batch: int
     epochs: int = 1
     base_lr: float | None = None  # None derives global_batch * 2^-14
-    rmsprop_momentum: float = 0.9
-    rmsprop_decay: float | None = None  # None derives 1 - global_batch * 2^-14
-    rmsprop_delta: float = 1e-3
-    weight_decay: float = 1e-5
-    label_smoothing: float = 0.1
-    lr_decay_factor: float = 0.97
-    lr_decay_epochs: float = 2.4
-    ema_decay: float = 0.97
-    mixup_alpha: float = 0.2
-    cutmix_alpha: float = 0.2
     augment: bool = False
+
+    rmsprop_momentum = 0.9
+    rmsprop_delta = 1e-3
+    weight_decay = 1e-5
+    label_smoothing = 0.1
+    lr_decay_factor = 0.97
+    lr_decay_epochs = 2.4
+    ema_decay = 0.97
+    mixup_alpha = 0.2
+    cutmix_alpha = 0.2
+    CONSTANTS = ("rmsprop_momentum", "rmsprop_decay", "rmsprop_delta", "weight_decay",
+                 "label_smoothing", "lr_decay_factor", "lr_decay_epochs", "ema_decay",
+                 "mixup_alpha", "cutmix_alpha")
 
     def __post_init__(self):
         if self.global_batch < 1:
             raise ValueError(f"global_batch must be positive, got {self.global_batch}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
-        unit = self.global_batch * 2.0**LR_EXPONENT
         if self.base_lr is None:
-            object.__setattr__(self, "base_lr", unit)
-        if self.rmsprop_decay is None:
-            object.__setattr__(self, "rmsprop_decay", 1.0 - unit)
+            object.__setattr__(self, "base_lr", self.global_batch * 2.0**LR_EXPONENT)
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
         if not 0.0 < self.rmsprop_decay < 1.0:
             raise ValueError(f"rmsprop_decay must lie in (0, 1), got {self.rmsprop_decay}")
-        for name in ("base_lr", "lr_decay_factor", "lr_decay_epochs", "ema_decay"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("weight_decay", "label_smoothing", "mixup_alpha", "cutmix_alpha"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+
+    @property
+    def rmsprop_decay(self) -> float:
+        return 1.0 - self.global_batch * 2.0**LR_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,12 @@ class FinetuneRecipe:
 
 
 def recipe_fingerprint(recipe: TrainRecipe | FinetuneRecipe) -> str:
-    """SHA-256 of the recipe's fields as canonical JSON, recorded in every
-    checkpoint."""
-    blob = json.dumps(asdict(recipe), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the recipe's fields, and a ``TrainRecipe``'s constants, as
+    canonical JSON, recorded in every checkpoint."""
+    values = asdict(recipe)
+    if isinstance(recipe, TrainRecipe):
+        values.update({name: getattr(recipe, name) for name in TrainRecipe.CONSTANTS})
+    blob = json.dumps(values, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

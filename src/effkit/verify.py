@@ -13,8 +13,9 @@ import numpy as np
 
 from .convs import ConvSpec
 from .layers import Conv, Linear, NormAct, SqueezeExcite
-from .model import ModelConfig, count_cost
-from .norms import NormSpec, QuadratureRule, get_activation, normalize, pn_activation
+from .model import VARIANTS, ModelConfig, count_cost
+from .norms import QUAD_RULE, NormSpec, QuadratureRule, get_activation, normalize, pn_activation
+from .norms import proxy_moments
 from .resolution import HALF_RESOLUTIONS, half_resolution
 from .tensor import make_rng
 
@@ -133,7 +134,7 @@ def suite_batch_independence() -> tuple[bool, str]:
     rng = make_rng(23)
     x = rng.normal(size=(5, 8, 4, 4))
     perm = rng.permutation(5)
-    quad = QuadratureRule.gauss_hermite()
+    quad = QUAD_RULE
     gamma = rng.normal(size=8)
     beta = rng.normal(size=8)
     pb = rng.normal(size=8) * 0.1
@@ -159,15 +160,13 @@ def suite_batch_independence() -> tuple[bool, str]:
 
 
 def suite_quadrature() -> tuple[bool, str]:
-    quad = QuadratureRule.gauss_hermite(30)
+    quad = QUAD_RULE
     # Standard-normal moments: E[x^p] = 0 (odd) or (p-1)!! (even).
     moments = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
     for p, exact in moments.items():
         got = float(np.sum(quad.weights * quad.nodes**p))
         if abs(got - exact) > 1e-10 * max(1.0, exact):
             return False, f"monomial x^{p}: {got} != {exact}"
-    from .norms import proxy_moments
-
     relu = get_activation("relu")
     ones = np.ones(1)
     zeros = np.zeros(1)
@@ -200,8 +199,6 @@ def suite_table1() -> tuple[bool, str]:
 
 
 def suite_table2() -> tuple[bool, str]:
-    from .model import VARIANTS
-
     for (variant, g, e), (p_m, f_b) in TABLE2.items():
         config = ModelConfig.efficientnet(variant, group_size=g, expansion=e)
         report = count_cost(config, VARIANTS[variant][2])

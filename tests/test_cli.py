@@ -56,7 +56,7 @@ def test_count_records_effective_config(tmp_path, capsys):
     assert cfg["expansion"] == 4
     # untouched keys fall back to defaults
     assert cfg["classes"] == 1000
-    assert cfg["seed"] == 0
+    assert "seed" not in cfg  # count draws nothing at random
 
 
 def test_count_tiny_honours_expansion(tmp_path, capsys):
@@ -92,13 +92,37 @@ def test_count_bad_size_exits_2(tmp_path, capsys):
 def test_global_flags_accepted_in_both_positions(tmp_path, capsys):
     before = tmp_path / "before"
     after = tmp_path / "after"
-    rc1, _, _ = run(["--seed", "7", "count", "--out", str(before)], capsys)
-    rc2, _, _ = run(["count", "--seed", "7", "--out", str(after)], capsys)
+    rc1, _, _ = run(["--out", str(before), "count"], capsys)
+    rc2, _, _ = run(["count", "--out", str(after)], capsys)
     assert rc1 == rc2 == 0
     cfg1, cfg2 = read_config(before), read_config(after)
-    assert cfg1["seed"] == cfg2["seed"] == 7
+    assert (cfg1["out"], cfg2["out"]) == (str(before), str(after))
     cfg1["out"] = cfg2["out"] = "-"
     assert cfg1 == cfg2
+    # --seed is train's and finetune's own option, not a global flag.
+    rc, _, _ = run(["train", "--seed", "7", "--steps", "1", "--samples", "16",
+                    "--out", str(tmp_path / "train")], capsys)
+    assert rc == 0
+    assert read_config(tmp_path / "train")["seed"] == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "train", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("sub", ["count", "roofline", "resolution", "verify"])
+def test_seed_only_where_it_acts(sub, tmp_path, capsys):
+    # None of these draws anything at random: --seed used to be accepted and
+    # recorded without effect, so the flag and a config key are rejected.
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--seed", "5", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    config_path = tmp_path / "old.json"
+    config_path.write_text(json.dumps({"subcommand": sub, "seed": 0}))
+    rc, _, stderr = run([sub, "--config", str(config_path), "--out", str(tmp_path / "x")],
+                        capsys)
+    assert rc == 2
+    assert "unknown config keys: ['seed']" in stderr
+    assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------ option resolve
@@ -119,29 +143,34 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
 
 
 def test_config_seed_and_out_lose_to_flags_in_either_position(tmp_path, capsys):
-    # The subcommands share one --seed/--out action; a file's values must
-    # not turn it into a default that beats a flag given before them.
+    # The subcommands share one --out action; a file's value must not turn
+    # it into a default that beats a flag given before them.
     config_path = tmp_path / "opts.json"
-    config_path.write_text(json.dumps({"seed": 3, "out": str(tmp_path / "file_out"),
-                                       "size": "b1"}))
-    for argv in (["--seed", "7", "--out", str(tmp_path / "before"), "count"],
-                 ["count", "--seed", "7", "--out", str(tmp_path / "after")]):
+    config_path.write_text(json.dumps({"out": str(tmp_path / "file_out"), "size": "b1"}))
+    for argv in (["--out", str(tmp_path / "before"), "count"],
+                 ["count", "--out", str(tmp_path / "after")]):
         rc, _, _ = run([*argv, "--config", str(config_path)], capsys)
         assert rc == 0
     for name in ("before", "after"):
-        cfg = read_config(tmp_path / name)
-        assert (cfg["seed"], cfg["size"]) == (7, "b1")
+        assert read_config(tmp_path / name)["size"] == "b1"
     rc, _, _ = run(["count", "--config", str(config_path)], capsys)
     assert rc == 0
-    cfg = read_config(tmp_path / "file_out")
-    assert (cfg["seed"], cfg["size"]) == (3, "b1")
+    assert read_config(tmp_path / "file_out")["size"] == "b1"
+    # train's --seed beats the file's seed, which beats the default.
+    config_path.write_text(json.dumps({"seed": 3, "steps": 1, "samples": 16}))
+    for name, flags in (("flag", ["--seed", "7"]), ("file", [])):
+        rc, _, _ = run(["train", *flags, "--config", str(config_path),
+                        "--out", str(tmp_path / name)], capsys)
+        assert rc == 0
+    assert read_config(tmp_path / "flag")["seed"] == 7
+    assert read_config(tmp_path / "file")["seed"] == 3
 
 
 def test_written_config_reproduces_run(tmp_path, capsys):
     first = tmp_path / "first"
     rc, _, _ = run(
         ["count", "--size", "b3", "--group-size", "4", "--expansion", "5",
-         "--proxy", "--seed", "3", "--out", str(first)],
+         "--proxy", "--out", str(first)],
         capsys,
     )
     assert rc == 0
@@ -357,7 +386,7 @@ def test_every_report_flag_changes_the_report(sub, tmp_path, capsys):
         return read_config(out), (out / csv).read_text()
 
     config, default = report("default", [])
-    assert set(config) - {"subcommand", "seed", "out"} == set(changes)
+    assert set(config) - {"subcommand", "out"} == set(changes)
     for key, flags in changes.items():
         assert report(key, flags)[1] != default, key
 
@@ -437,6 +466,25 @@ def test_resolution_csv_needs_train(tmp_path, capsys):
     assert "--train" in stderr
     assert "half_resolution" not in stdout
     assert not out.exists()
+
+
+def test_resolution_max_needs_train(tmp_path, capsys):
+    # --max bounds the --train listing; without --train it changed nothing.
+    out = tmp_path / "run"
+    rc, stdout, stderr = run(["resolution", "--half", "224", "--max", "300", "--out", str(out)],
+                             capsys)
+    assert rc == 2
+    assert "--max" in stderr and "--train" in stderr
+    assert "half_resolution" not in stdout
+    assert not out.exists()
+    rc, stdout, _ = run(["resolution", "--train", "224", "--out", str(out)], capsys)
+    assert rc == 0
+    assert "valid test resolutions for 224 (max 704):" in stdout
+    assert stdout.splitlines()[-1].split()[-1] == "704"
+    rc, stdout, _ = run(["resolution", "--train", "224", "--max", "300", "--out", str(out)],
+                        capsys)
+    assert rc == 0
+    assert stdout.splitlines()[-1] == "224 256 288"
 
 
 # ----------------------------------------------------------------- train
@@ -541,11 +589,25 @@ def test_finetune_from_checkpoint(train_run, tmp_path, capsys):
     assert (out / "finetune_log.csv").exists()
 
 
-@pytest.mark.parametrize("part", ["model_config", "norm", "stages"])
+# part -> (key, value) written into it, and the text the error must name
+MALFORMED = {
+    "model_config": ("bogus_key", 1, "bogus_key"),
+    "norm": ("bogus_key", 1, "bogus_key"),
+    "stages": ("bogus_key", 1, "bogus_key"),
+    # recorded constants other than the model's own
+    "quad_order": ("quad_order", 20, "quad_order=20"),
+    "epsilon": ("epsilon", 1e-5, "epsilon=1e-05"),
+}
+
+
+@pytest.mark.parametrize("part", list(MALFORMED))
 def test_finetune_malformed_checkpoint_config_exits_2(part, train_run, tmp_path, capsys):
     ckpt = Checkpoint.load(train_run / "checkpoint.bin")
     cfg = ckpt.model_config
-    {"model_config": cfg, "norm": cfg["norm"], "stages": cfg["stages"][0]}[part]["bogus_key"] = 1
+    assert (cfg["se_ratio"], cfg["quad_order"], cfg["norm"]["epsilon"]) == (0.25, 30, 1e-3)
+    key, value, named = MALFORMED[part]
+    held = {"norm": cfg["norm"], "epsilon": cfg["norm"], "stages": cfg["stages"][0]}
+    held.get(part, cfg)[key] = value
     path = tmp_path / "bad.bin"
     ckpt.save(path)
     rc, _, stderr = run(
@@ -554,7 +616,7 @@ def test_finetune_malformed_checkpoint_config_exits_2(part, train_run, tmp_path,
         capsys,
     )
     assert rc == 2
-    assert "bogus_key" in stderr
+    assert named in stderr
     assert not (tmp_path / "ft" / "finetune_checkpoint.bin").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from effkit import layers
 from effkit.convs import ConvSpec
-from effkit.norms import NormSpec, batch_moments
+from effkit.norms import EPSILON, NormSpec, batch_moments
 from effkit.tensor import make_rng
 from effkit.verify import check_layer
 
@@ -116,7 +116,7 @@ def test_bn_eval_uses_running_stats():
     y_eval = layer.forward(x, train=False)
     mean = layer.running_mean.reshape(1, 3, 1, 1)
     var = layer.running_var.reshape(1, 3, 1, 1)
-    ref = (x - mean) / np.sqrt(var + layer.spec.epsilon)
+    ref = (x - mean) / np.sqrt(var + EPSILON)
     np.testing.assert_allclose(y_eval, ref, atol=1e-12, rtol=0)
 
 

@@ -64,6 +64,20 @@ def test_config_from_dict_names_bad_keys(edit, key):
         model.config_from_dict(raw)
 
 
+def test_config_from_dict_checks_recorded_constants():
+    # Checkpoints record the fixed squeeze-excite ratio, quadrature order and
+    # norm epsilon; they load at those values and are refused at any other.
+    raw = model.config_to_dict(model.ModelConfig.tiny())
+    assert (raw["se_ratio"], raw["quad_order"], raw["norm"]["epsilon"]) == (0.25, 30, 1e-3)
+    assert model.config_from_dict(raw) == model.ModelConfig.tiny()
+    for held, key, value in (("config", "se_ratio", 0.5), ("config", "quad_order", 20),
+                             ("norm", "epsilon", 1e-5)):
+        bad = model.config_to_dict(model.ModelConfig.tiny())
+        (bad["norm"] if held == "norm" else bad)[key] = value
+        with pytest.raises(ValueError, match=f"{key}={value!r}"):
+            model.config_from_dict(bad)
+
+
 def test_tiny_expansion_sets_expanding_stage():
     assert [s.expand for s in model.ModelConfig.tiny().stages] == [1, 4]
     assert [s.expand for s in model.ModelConfig.tiny(expansion=6).stages] == [1, 6]

@@ -27,10 +27,6 @@ def test_norm_spec_validation():
         norms.NormSpec("rms")
     with pytest.raises(ValueError):
         norms.NormSpec("gn", groups=0)
-    with pytest.raises(ValueError):
-        norms.NormSpec("ln", epsilon=-1e-6)
-    # epsilon zero is a legal degenerate setting
-    assert norms.NormSpec("ln", epsilon=0.0).epsilon == 0.0
 
 
 @pytest.mark.parametrize("kind", ["bn", "ln", "in"])
@@ -78,8 +74,8 @@ def test_bn_idempotent_on_standardized_input():
     mean = x.mean(axis=(0, 2, 3), keepdims=True)
     std = x.std(axis=(0, 2, 3), keepdims=True)
     x = (x - mean) / std
-    y, _ = norms.normalize(x, norms.NormSpec("bn", epsilon=0.0))
-    np.testing.assert_allclose(y, x, atol=1e-12, rtol=0)
+    y, _ = norms.normalize(x, norms.NormSpec("bn"))
+    np.testing.assert_allclose(y, x / np.sqrt(1.0 + norms.EPSILON), atol=1e-12, rtol=0)
 
 
 def test_bn_moments_after_normalization():
@@ -141,8 +137,8 @@ def test_ln_idempotent_on_standardized_sample():
     rng = make_rng(3)
     x = rng.normal(size=(1, 4, 6, 6))
     x = (x - x.mean()) / x.std()
-    y, _ = norms.normalize(x, norms.NormSpec("ln", epsilon=0.0))
-    np.testing.assert_allclose(y, x, atol=1e-12, rtol=0)
+    y, _ = norms.normalize(x, norms.NormSpec("ln"))
+    np.testing.assert_allclose(y, x / np.sqrt(1.0 + norms.EPSILON), atol=1e-12, rtol=0)
 
 
 def test_gn_degenerate_group_identities():
@@ -168,7 +164,7 @@ def test_gn_matches_naive_loop_oracle():
         for g in range(4):
             sl = x[b, g * per : (g + 1) * per]
             ref[b, g * per : (g + 1) * per] = (sl - mean[b, g]) / math.sqrt(
-                var[b, g] + spec.epsilon
+                var[b, g] + norms.EPSILON
             )
     np.testing.assert_allclose(y, ref, atol=1e-12, rtol=0)
 
@@ -236,7 +232,7 @@ def test_zero_upstream_gradient_gives_zero():
 
 
 def test_get_activation():
-    assert norms.get_activation("swish").name == "swish"
+    assert norms.get_activation("swish") is norms.ACTIVATIONS["swish"]
     with pytest.raises(ValueError):
         norms.get_activation("gelu")
 
@@ -386,12 +382,7 @@ def test_proxy_moment_grads_match_finite_differences():
     pbeta = 0.2 * rng.normal(size=4)
     pgamma = 0.1 * rng.normal(size=4)
     params = {"gamma": gamma, "beta": beta, "proxy_beta": pbeta, "proxy_gamma": pgamma}
-    m, var, dm, dvar = norms.proxy_moment_grads(
-        gamma, beta, pbeta, pgamma, act, quad
-    )
-    m0, v0 = norms.proxy_moments(gamma, beta, pbeta, pgamma, act, quad)
-    np.testing.assert_allclose(m, m0, atol=1e-14, rtol=0)
-    np.testing.assert_allclose(var, v0, atol=1e-14, rtol=0)
+    dm, dvar = norms.proxy_moment_grads(gamma, beta, pbeta, pgamma, act, quad)
     h = 1e-6
     for name in params:
         for c in range(4):
@@ -421,11 +412,9 @@ def test_pn_identity_standard_proxy_is_a_no_op():
     one = np.ones(3)
     zero = np.zeros(3)
     quad = norms.QuadratureRule.gauss_hermite(30)
-    z, _ = norms.pn_activation(
-        y, one, zero, zero, zero, norms.get_activation("identity"), quad,
-        epsilon_tilde=0.0,
-    )
-    np.testing.assert_allclose(z, y, atol=1e-12, rtol=0)
+    z, _ = norms.pn_activation(y, one, zero, zero, zero, norms.get_activation("identity"), quad)
+    # The proxy of an identity is N(0, 1): z = y / sqrt(1 + eps~).
+    np.testing.assert_allclose(z, y / np.sqrt(1.0 + norms.EPSILON_TILDE), atol=1e-12, rtol=0)
 
 
 def test_pn_identity_affine_cancellation():
@@ -435,11 +424,10 @@ def test_pn_identity_affine_cancellation():
     beta = np.array([-2.0, 0.7, 4.0])
     zero = np.zeros(3)
     quad = norms.QuadratureRule.gauss_hermite(30)
-    z, _ = norms.pn_activation(
-        y, gamma, beta, zero, zero, norms.get_activation("identity"), quad,
-        epsilon_tilde=0.0,
-    )
-    np.testing.assert_allclose(z, y, atol=1e-12, rtol=0)
+    z, _ = norms.pn_activation(y, gamma, beta, zero, zero, norms.get_activation("identity"), quad)
+    # The shift cancels, and the proxy scale is |gamma|: z = gamma y / sqrt(gamma^2 + eps~).
+    g = gamma.reshape(1, 3, 1, 1)
+    np.testing.assert_allclose(z, g * y / np.sqrt(g**2 + norms.EPSILON_TILDE), atol=1e-12, rtol=0)
 
 
 def test_pn_matches_naive_composition():

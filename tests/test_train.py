@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,17 @@ def test_recipe_validation():
     with pytest.raises(ValueError):
         train.TrainRecipe(global_batch=2**15)  # derived decay hits 0
     with pytest.raises(ValueError):
-        train.TrainRecipe(global_batch=8, weight_decay=-1.0)
+        train.TrainRecipe(global_batch=8, base_lr=0.0)
+
+
+def test_recipe_constants_are_not_fields():
+    # The fixed recipe constants are class attributes: the constructor does
+    # not take them, and only the four fields are dataclass fields.
+    recipe = train.TrainRecipe(global_batch=8)
+    assert set(asdict(recipe)) == {"global_batch", "epochs", "base_lr", "augment"}
+    with pytest.raises(TypeError):
+        train.TrainRecipe(global_batch=8, weight_decay=0.5)
+    assert recipe.rmsprop_decay == 1.0 - 8 * 2.0**-14
 
 
 def test_finetune_recipe():
@@ -140,7 +151,7 @@ def test_rmsprop_two_steps_match_scalar_reference():
 
 
 def test_rmsprop_weight_decay_applies_only_to_named_parameters():
-    recipe = train.TrainRecipe(global_batch=768, weight_decay=0.5)
+    recipe = train.TrainRecipe(global_batch=768)
     base = {"a": np.array([2.0]), "b": np.array([2.0])}
     grads = {"a": np.array([0.1]), "b": np.array([0.1])}
     with_decay = {k: v.copy() for k, v in base.items()}
@@ -152,7 +163,7 @@ def test_rmsprop_weight_decay_applies_only_to_named_parameters():
     assert with_decay["a"][0] != plain["a"][0]
     assert with_decay["b"][0] == plain["b"][0]
     ref = rmsprop_reference(
-        2.0, [0.1 + 0.5 * 2.0], 0.01, recipe.rmsprop_decay,
+        2.0, [0.1 + recipe.weight_decay * 2.0], 0.01, recipe.rmsprop_decay,
         recipe.rmsprop_momentum, recipe.rmsprop_delta,
     )[-1]
     assert abs(with_decay["a"][0] - ref) <= 1e-12
@@ -180,8 +191,9 @@ def test_blocked_rmsprop_is_bit_identical_to_whole_array_update(decay):
     rng = make_rng(4)
     params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     expected = {name: p.copy() for name, p in params.items()}
-    # No power-of-two factors: a reordered product must change some bits.
-    recipe = train.TrainRecipe(global_batch=64, rmsprop_decay=0.9, weight_decay=0.3)
+    # 1 - rho = 96 * 2^-14 is no power of two, nor is the weight decay: a
+    # reordered product must change some bits.
+    recipe = train.TrainRecipe(global_batch=96)
     state = train.init_rmsprop_state(params)
     ref_state = train.init_rmsprop_state(expected)
     decay_names = set(shapes) if decay else set()
@@ -463,12 +475,12 @@ def test_weight_decay_moves_exactly_the_decay_set():
     params = net.params()
     decay_names = frozenset(decay_param_names(net))
     zero_grads = {k: np.zeros_like(v) for k, v in params.items()}
-    for wd in (0.0, 0.1):
+    recipe = train.TrainRecipe(global_batch=8)
+    for names in (frozenset(), decay_names):
         snap = {k: v.copy() for k, v in params.items()}
-        recipe = train.TrainRecipe(global_batch=8, weight_decay=wd)
         state = train.init_rmsprop_state(snap)
-        train.rmsprop_step(snap, zero_grads, state, recipe, 0.01, decay_names)
-        if wd == 0.0:
+        train.rmsprop_step(snap, zero_grads, state, recipe, 0.01, names)
+        if not names:
             for name, arr in snap.items():
                 assert np.array_equal(arr, params[name]), name
         else:
