@@ -5,8 +5,9 @@ training forward (``train=True``), the last-1 fine-tune's frozen-prefix
 forward (``train=True, stop=scope_start(1), grad=False``) and an
 evaluation forward (``train=False``). After each it walks every layer's
 cache and prints the MB held, counting each buffer once by its base array:
-a view, or an array that two layers both keep, adds nothing. The
-parameters' MB is printed for scale.
+a view, or an array that two layers both keep, adds nothing, and neither
+does a parameter (a ``Conv`` cache keeps its weight), which exists whether
+a cache holds it or not. The parameters' MB is printed for scale.
 
     PYTHONPATH=src python benchmarks/cache_bytes.py [--resolution 64 128]
 """
@@ -37,14 +38,21 @@ def _arrays(obj):
             yield from _arrays(item)
 
 
+def _base(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 def cached_bytes(model) -> int:
-    """Bytes of the distinct base arrays that the layers' caches reach."""
+    """Bytes of the distinct base arrays that the layers' caches reach,
+    parameters excepted."""
+    params = {id(_base(p)) for p in model.params().values()}
     bases = {}
     for _, layer in model.walk():
-        for arr in _arrays(layer._cache):
-            while isinstance(arr.base, np.ndarray):
-                arr = arr.base
-            bases[id(arr)] = arr.nbytes
+        for arr in map(_base, _arrays(layer._cache)):
+            if id(arr) not in params:
+                bases[id(arr)] = arr.nbytes
     return sum(bases.values())
 
 

@@ -2,9 +2,9 @@
 
 Group size G is the number of input channels feeding each output channel;
 G = 1 is a depthwise convolution and G = C_in is a dense one. Weights are
-laid out (C_out, G, k, k). Every convolution, 1x1 included, unrolls the
-input into columns (im2col, Chellapilla et al. 2006) and multiplies them
-with ``np.matmul`` stacked over (sample, group).
+laid out (C_out, G, k, k). Every convolution is "same"-padded and, 1x1
+included, unrolls the padded input into columns (im2col, Chellapilla et
+al. 2006) and multiplies them with ``np.matmul`` stacked over (sample, group).
 
 The input gradient is itself one forward convolution, the transposed
 convolution of Dumoulin & Visin 2016 ("A guide to convolution
@@ -39,9 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-PADDINGS = ("same", "valid")
-
-
 def round_group_size(requested: int, channels: int) -> int:
     """Nearest divisor of ``channels`` to ``requested``; ties go to the larger."""
     if channels < 1:
@@ -61,21 +58,19 @@ def round_group_size(requested: int, channels: int) -> int:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of one grouped convolution: channels, kernel, stride, group
-    size and padding. Batch and spatial size come from the input tensor."""
+    """Geometry of one grouped convolution: channels, kernel, stride and
+    group size, always "same"-padded. Batch and spatial size come from the
+    input tensor."""
 
     in_channels: int
     out_channels: int
     kernel: int
     stride: int = 1
     group_size: int | None = None  # None means dense (G = in_channels)
-    padding: str = "same"
 
     def __post_init__(self):
         if min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1:
             raise ValueError(f"conv dimensions must be positive: {self}")
-        if self.padding not in PADDINGS:
-            raise ValueError(f"unknown padding {self.padding!r}; use one of {PADDINGS}")
         g = self.resolved_group_size
         if self.in_channels % g != 0:
             raise ValueError(
@@ -99,16 +94,10 @@ class ConvSpec:
         return (self.out_channels, self.resolved_group_size, self.kernel, self.kernel)
 
     def out_size(self, size: int) -> int:
-        if self.padding == "same":
-            return -(-size // self.stride)
-        if size < self.kernel:
-            raise ValueError(f"input size {size} below kernel {self.kernel} with valid padding")
-        return (size - self.kernel) // self.stride + 1
+        return -(-size // self.stride)
 
     def pad_amounts(self, size: int) -> tuple[int, int]:
         """(before, after) padding for one spatial axis; extra goes after."""
-        if self.padding == "valid":
-            return 0, 0
         total = max((self.out_size(size) - 1) * self.stride + self.kernel - size, 0)
         return total // 2, total - total // 2
 
@@ -121,19 +110,23 @@ def _pad_input(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), ph, pw))
 
 
-def _columns(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """(B, groups, G*k*k, OH*OW) im2col matrix of the padded input."""
-    k, s = spec.kernel, spec.stride
+def _columns(xp: np.ndarray, groups: int, k: int, s: int) -> np.ndarray:
+    """(B, groups, C/groups*k*k, OH*OW) im2col matrix of the padded input."""
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    b, _, oh, ow = win.shape[:4]
+    b, c, oh, ow = win.shape[:4]
     # (B, C, OH, OW, k, k) -> (B, C, k, k, OH, OW); the reshape copies.
     cols = win.transpose(0, 1, 4, 5, 2, 3)
-    return cols.reshape(b, spec.groups, spec.resolved_group_size * k * k, oh * ow)
+    return cols.reshape(b, groups, c // groups * k * k, oh * ow)
 
 
-def _grouped_weight(weight: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """(groups, C_out/groups, G*k*k) view of the weights."""
-    return weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+def _product(xp: np.ndarray, weight: np.ndarray, groups: int, s: int) -> np.ndarray:
+    """(B, C_out, OH, OW) convolution at stride s of an already padded input
+    with weights (C_out, C/groups, k, k), both C-contiguous float64: one GEMM
+    per (sample, group), each of a shape that does not depend on B."""
+    c_out, _, k, _ = weight.shape
+    b, _, hp, wp = xp.shape
+    y = np.matmul(weight.reshape(groups, c_out // groups, -1), _columns(xp, groups, k, s))
+    return y.reshape(b, c_out, (hp - k) // s + 1, (wp - k) // s + 1)
 
 
 def conv_forward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
@@ -144,12 +137,7 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
         raise ValueError(f"weight shape {weight.shape}, expected {spec.weight_shape}")
     xp = np.ascontiguousarray(_pad_input(x, spec), dtype=np.float64)
     weight = np.ascontiguousarray(weight, dtype=np.float64)
-    # (groups, opg, G*k*k) @ (B, groups, G*k*k, OH*OW): one GEMM per
-    # (sample, group), each of a shape that does not depend on B.
-    y = np.matmul(_grouped_weight(weight, spec), _columns(xp, spec))
-    y = y.reshape(
-        x.shape[0], spec.out_channels, spec.out_size(x.shape[2]), spec.out_size(x.shape[3])
-    )
+    y = _product(xp, weight, spec.groups, spec.stride)
     cache = {"xp": xp, "weight": weight, "spec": spec, "in_shape": x.shape, "out_shape": y.shape}
     return y, cache
 
@@ -166,8 +154,8 @@ def folds_batch_for_dw(spec: ConvSpec, positions: int) -> bool:
     return positions <= 16 and spec.out_channels // spec.groups > 1
 
 
-def _transposed_conv(weight: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, ConvSpec]:
-    """Weights and geometry of the stride-1 convolution of dy that yields
+def _transposed_weight(weight: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """C-contiguous weights of the stride-1 convolution of dy that yields
     every stride phase of dx.
 
     With T = ceil(k/s), the kernel is zero-padded to s*T taps per axis and
@@ -184,9 +172,9 @@ def _transposed_conv(weight: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, Co
     # (groups, opg, G, T, s, T, s), taps flipped -> (groups, G, s, s, opg, T, T)
     split = padded.reshape(spec.groups, opg, g, t, s, t, s)[:, :, :, ::-1, :, ::-1, :]
     wt = split.transpose(0, 2, 4, 6, 1, 3, 5).reshape(spec.in_channels * s * s, opg, t, t)
-    tspec = ConvSpec(spec.out_channels, spec.in_channels * s * s, t, group_size=opg,
-                     padding="valid")
-    return wt, tspec
+    # The reshape is often a strided view (a dense 1x1 kernel's is transposed),
+    # which matmul may round differently from a C-ordered copy.
+    return np.ascontiguousarray(wt)
 
 
 def _phase_span(spec: ConvSpec, size: int) -> tuple[int, int, int]:
@@ -205,7 +193,7 @@ def _phase_span(spec: ConvSpec, size: int) -> tuple[int, int, int]:
 def _weight_grad(xp: np.ndarray, dy: np.ndarray, spec: ConvSpec) -> np.ndarray:
     b, _, oh, ow = dy.shape
     groups, opg = spec.groups, spec.out_channels // spec.groups
-    cols = _columns(xp, spec)
+    cols = _columns(xp, groups, spec.kernel, spec.stride)
     dg = dy.reshape(b, groups, opg, oh * ow)
     if folds_batch_for_dw(spec, oh * ow):
         # (groups, opg, B*OH*OW) @ (groups, B*OH*OW, G*k*k): the sum over
@@ -226,15 +214,15 @@ def _input_grad(dy: np.ndarray, weight: np.ndarray, spec: ConvSpec, in_shape) ->
     in the unpadded input, then the phases interleaved (depth to space)."""
     b, c, h, w = in_shape
     s = spec.stride
-    wt, tspec = _transposed_conv(weight, spec)
-    t = tspec.kernel
+    wt = _transposed_weight(weight, spec)
+    t = wt.shape[-1]
     r0, r1, roff = _phase_span(spec, h)
     c0, c1, coff = _phase_span(spec, w)
     # Phase row m reads dy rows m-t+1 .. m, so dy is zero-padded to cover
     # rows r0-t+1 .. r1-1; for every geometry r0 < t and r1 >= OH.
     pads = ((0, 0), (0, 0), (t - 1 - r0, r1 - dy.shape[2]), (t - 1 - c0, c1 - dy.shape[3]))
     window = np.pad(dy, pads) if any(map(any, pads)) else dy
-    phases, _ = conv_forward(window, wt, tspec)
+    phases = _product(window, wt, spec.groups, 1)
     mh, mw = r1 - r0, c1 - c0
     dxp = phases.reshape(b, c, s, s, mh, mw).transpose(0, 1, 4, 2, 5, 3)
     dxp = dxp.reshape(b, c, mh * s, mw * s)

@@ -177,7 +177,8 @@ def normalize(x: np.ndarray, spec: NormSpec, stats=None):
     ``"moments"``. For the batch-independent kinds the moments are per
     sample per channel group, over axis 2 of the (B, groups, -1) view.
     Every kind shares one formula; the cache records the reduction
-    ``"axes"``, and fixed moments make its mode ``"static"``.
+    ``"axes"``. The backward differentiates through the moments, so fixed
+    ``stats`` are for forward-only evaluation.
     """
     if x.ndim != 4:
         raise ValueError(f"expected a 4-D tensor, got shape {x.shape}")
@@ -185,13 +186,12 @@ def normalize(x: np.ndarray, spec: NormSpec, stats=None):
     if spec.kind == "bn":
         moments = batch_moments(x) if stats is None else stats
         mean, var = (m.reshape(1, shape[1], 1, 1) for m in moments)
-        mode = "dynamic" if stats is None else "static"
-        cache = {"mode": mode, "axes": (0, 2, 3), "moments": moments}
+        cache = {"axes": (0, 2, 3), "moments": moments}
     else:
         x = x.reshape(shape[0], spec.resolved_groups(shape[1]), -1)
         mean = x.mean(axis=2, keepdims=True)
         var = x.var(axis=2, keepdims=True)
-        cache = {"mode": "dynamic", "axes": 2}
+        cache = {"axes": 2}
     inv = 1.0 / np.sqrt(var + EPSILON)
     y = (x - mean) * inv
     cache.update(y=y, inv=inv)
@@ -199,10 +199,7 @@ def normalize(x: np.ndarray, spec: NormSpec, stats=None):
 
 
 def normalize_backward(cache, dy: np.ndarray) -> np.ndarray:
-    inv = cache["inv"]
-    if cache["mode"] == "static":
-        return dy * inv
-    y, axes = cache["y"], cache["axes"]
+    y, inv, axes = cache["y"], cache["inv"], cache["axes"]
     dg = dy.reshape(y.shape)
     dmean = dg.mean(axis=axes, keepdims=True)
     dproj = (dg * y).mean(axis=axes, keepdims=True)

@@ -80,6 +80,8 @@ class HardwareProfile:
     def from_json(cls, path) -> "HardwareProfile":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("hardware profile must hold a JSON object")
         known = {"peak_flops", "mem_bandwidth", "bytes_per_element"}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -87,11 +89,14 @@ class HardwareProfile:
         missing = sorted(known - set(raw))
         if missing:
             raise ValueError(f"hardware profile missing keys: {missing}")
-        return cls(
-            peak_flops=float(raw["peak_flops"]),
-            mem_bandwidth=float(raw["mem_bandwidth"]),
-            bytes_per_element=int(raw["bytes_per_element"]),
-        )
+        try:
+            return cls(
+                peak_flops=float(raw["peak_flops"]),
+                mem_bandwidth=float(raw["mem_bandwidth"]),
+                bytes_per_element=int(raw["bytes_per_element"]),
+            )
+        except TypeError as exc:
+            raise ValueError(f"hardware profile values must be numbers: {exc}") from None
 
 
 @dataclass(frozen=True)

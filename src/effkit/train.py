@@ -202,7 +202,7 @@ def sgd_step(
 def ema_update(
     shadow: dict[str, np.ndarray],
     params: dict[str, np.ndarray],
-    decay: float = 0.97,
+    decay: float,
 ) -> dict[str, np.ndarray]:
     """shadow <- decay*shadow + (1-decay)*params; a first call (empty
     shadow) copies the parameters."""
@@ -251,12 +251,12 @@ def smoothed_targets(labels, num_classes: int, smoothing: float) -> np.ndarray:
     return (1.0 - smoothing) * dist + smoothing / num_classes
 
 
-def smoothed_cross_entropy(logits: np.ndarray, labels, smoothing: float = 0.1) -> float:
+def smoothed_cross_entropy(logits: np.ndarray, labels, smoothing: float) -> float:
     target = smoothed_targets(labels, logits.shape[1], smoothing)
     return float(-(target * _log_softmax(logits)).sum(axis=1).mean())
 
 
-def smoothed_cross_entropy_grad(logits: np.ndarray, labels, smoothing: float = 0.1) -> np.ndarray:
+def smoothed_cross_entropy_grad(logits: np.ndarray, labels, smoothing: float) -> np.ndarray:
     """d(mean loss)/d(logits) = (softmax - smoothed targets) / batch."""
     target = smoothed_targets(labels, logits.shape[1], smoothing)
     probs = np.exp(_log_softmax(logits))

@@ -321,6 +321,22 @@ def test_roofline_bad_profile_exits_2(tmp_path, capsys):
     assert "unknown hardware profile keys" in stderr
 
 
+@pytest.mark.parametrize(
+    "profile,message",
+    [(5, "JSON object"), ({**PROFILE, "peak_flops": None}, "must be numbers")],
+    ids=["not-an-object", "null-value"],
+)
+def test_roofline_malformed_profile_exits_2(tmp_path, capsys, profile, message):
+    profile_path = tmp_path / "hw.json"
+    profile_path.write_text(json.dumps(profile))
+    rc, _, stderr = run(
+        ["roofline", "--profile", str(profile_path), "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert rc == 2
+    assert message in stderr
+
+
 def test_report_resolution_floor_follows_the_model(tmp_path, capsys):
     # tiny has two stride-2 layers, so 16 px is above its floor of 4; b0 has
     # five, and its forward pass rejects 8 px, so its reports do too.

@@ -61,8 +61,6 @@ def test_conv_spec_validation():
     with pytest.raises(ValueError):
         convs.ConvSpec(6, 4, 3, group_size=2)  # 3 groups, 4 outputs
     with pytest.raises(ValueError):
-        convs.ConvSpec(4, 4, 3, padding="full")
-    with pytest.raises(ValueError):
         convs.ConvSpec(0, 4, 3)
 
 
@@ -85,14 +83,6 @@ def test_same_padding_output_sizes():
     # odd total padding puts the extra row after
     spec_even = convs.ConvSpec(4, 4, 3, stride=2)
     assert spec_even.pad_amounts(16) == (0, 1)
-
-
-def test_valid_padding_output_sizes():
-    spec = convs.ConvSpec(4, 4, 3, padding="valid")
-    assert spec.out_size(7) == 5
-    assert spec.pad_amounts(7) == (0, 0)
-    with pytest.raises(ValueError):
-        spec.out_size(2)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +111,20 @@ def test_depthwise_identity_kernel_is_identity():
 
 
 @pytest.mark.parametrize(
-    "cin,cout,k,stride,gs,padding,field",
+    "cin,cout,k,stride,gs,field",
     [
-        (6, 6, 3, 1, 2, "same", 7),       # two groups of three
-        (6, 6, 3, 1, 1, "same", 6),       # depthwise
-        (4, 8, 3, 2, None, "same", 9),    # dense, strided, odd field
-        (8, 8, 5, 2, 4, "same", 11),      # k=5 grouped strided
-        (6, 4, 3, 1, 3, "valid", 8),      # valid padding
-        (4, 4, 3, 2, 2, "valid", 9),      # valid strided
-        (3, 9, 1, 1, 3, "same", 5),       # pointwise dense
+        (6, 6, 3, 1, 2, 7),       # two groups of three
+        (6, 6, 3, 1, 1, 6),       # depthwise
+        (4, 8, 3, 2, None, 9),    # dense, strided, odd field
+        (8, 8, 5, 2, 4, 11),      # k=5 grouped strided
+        (6, 4, 3, 1, 3, 8),       # fewer outputs than inputs
+        (4, 4, 3, 2, 2, 8),       # strided, even field: padding only after
+        (3, 9, 1, 1, 3, 5),       # pointwise dense
     ],
 )
-def test_conv_forward_matches_loop_oracle(cin, cout, k, stride, gs, padding, field):
+def test_conv_forward_matches_loop_oracle(cin, cout, k, stride, gs, field):
     rng = make_rng(hash((cin, cout, k, stride, field)) % 2**31)
-    spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs, padding=padding)
+    spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs)
     x = rng.normal(size=(3, cin, field, field))
     w = rng.normal(size=spec.weight_shape)
     y, _ = convs.conv_forward(x, w, spec)
@@ -196,17 +186,17 @@ def test_conv_backward_zero_gradient():
 
 
 @pytest.mark.parametrize(
-    "cin,cout,k,stride,gs,padding",
+    "cin,cout,k,stride,gs",
     [
-        (4, 6, 3, 1, 2, "same"),
-        (6, 6, 3, 2, 1, "same"),
-        (4, 8, 5, 2, None, "same"),
-        (6, 4, 3, 1, 3, "valid"),
+        (4, 6, 3, 1, 2),
+        (6, 6, 3, 2, 1),
+        (4, 8, 5, 2, None),
+        (6, 4, 1, 2, 3),  # 1x1 stride 2: odd rows and columns of x unread
     ],
 )
-def test_conv_backward_matches_finite_differences(cin, cout, k, stride, gs, padding):
+def test_conv_backward_matches_finite_differences(cin, cout, k, stride, gs):
     rng = make_rng(hash((cin, cout, k, stride)) % 2**31)
-    spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs, padding=padding)
+    spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs)
     x = rng.normal(size=(2, cin, 6, 6))
     w = rng.normal(size=spec.weight_shape)
     y, cache = convs.conv_forward(x, w, spec)
@@ -221,38 +211,60 @@ def test_conv_backward_matches_finite_differences(cin, cout, k, stride, gs, padd
     assert fd_check(loss, w, dw, rng, 30) <= 1e-6
 
 
-@pytest.mark.parametrize("padding", convs.PADDINGS)
+@pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("kind", ["depthwise", "grouped", "dense"])
 def test_conv_backward_matches_loop_oracle(kind, padding):
     # Every kernel 1-5 and stride 1-3 on odd, even and non-square fields,
     # small fields included (late-stage 2x3: the crop of dx matters most
-    # there), on both sides of the weight-gradient batch-fold rule.
+    # there), on both sides of the weight-gradient batch-fold rule. The
+    # geometries split by whether same padding adds zeros ("same") or adds
+    # none, so that the convolution is a valid one ("valid").
     cin, cout, gs = {"depthwise": (6, 6, 1), "grouped": (8, 12, 2), "dense": (4, 6, None)}[kind]
     rng = make_rng(10)
-    folds, uncovered = set(), 0
+    folds, uncovered, cases = set(), 0, 0
     for k, stride, (h, w) in itertools.product(
         range(1, 6), (1, 2, 3), ((7, 7), (8, 6), (5, 9), (2, 3))
     ):
-        if padding == "valid" and min(h, w) < k:
-            continue
         case = (k, stride, h, w)
-        spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs, padding=padding)
+        spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs)
+        pt, pb = spec.pad_amounts(h)
+        pl, pr = spec.pad_amounts(w)
+        if (pt + pb + pl + pr > 0) != (padding == "same"):
+            continue
+        cases += 1
         x = rng.normal(size=(3, cin, h, w))
         weight = rng.normal(size=spec.weight_shape)
         y, cache = convs.conv_forward(x, weight, spec)
         dy = rng.normal(size=y.shape)
         dx, dw = convs.conv_backward(cache, dy)
-        pt, pb = spec.pad_amounts(h)
-        pl, pr = spec.pad_amounts(w)
         ref_dx, ref_dw = naive_grouped_conv_backward(x, weight, dy, stride, pt, pl, pb, pr)
         np.testing.assert_allclose(dx, ref_dx, atol=1e-12, rtol=0, err_msg=str(case))
         np.testing.assert_allclose(dw, ref_dw, atol=1e-12, rtol=0, err_msg=str(case))
         folds.add(convs.folds_batch_for_dw(spec, y.shape[2] * y.shape[3]))
-        # valid padding with (h - k) % stride > 0 leaves trailing input
-        # rows that no output reads: their gradient is zero
-        uncovered += padding == "valid" and (h - k) % stride > 0
+        # input rows or columns that no output reads (a kernel smaller than
+        # its stride leaves some, e.g. k=1, s=2 on a field of 7) get a zero
+        # gradient
+        unread = ref_dx == 0
+        uncovered += unread.all(axis=(0, 1, 3)).any() or unread.all(axis=(0, 1, 2)).any()
+    assert cases >= 10
     assert folds == ({False} if kind == "depthwise" else {False, True})
-    assert uncovered > 0 or padding == "same"
+    assert uncovered > 0
+
+
+def test_pointwise_input_grad_is_the_product_over_c_ordered_weights():
+    # dx of a dense 1x1 convolution is W^T @ dy per sample, bit for bit, with
+    # W^T copied to C order: matmul rounds the transposed view differently at
+    # b0's late shapes, which would move every trained bit.
+    rng = make_rng(12)
+    for cin, cout in ((112, 672), (192, 1152), (672, 192)):
+        spec = convs.ConvSpec(cin, cout, 1)
+        x = rng.normal(size=(4, cin, 2, 2))
+        w = rng.normal(size=spec.weight_shape)
+        y, cache = convs.conv_forward(x, w, spec)
+        dy = rng.normal(size=y.shape)
+        dx, _ = convs.conv_backward(cache, dy)
+        ref = np.matmul(np.ascontiguousarray(w[:, :, 0, 0].T), dy.reshape(4, cout, 4))
+        assert np.array_equal(dx, ref.reshape(x.shape)), (cin, cout)
 
 
 def test_conv_backward_rejects_wrong_dy_shape():
@@ -290,8 +302,8 @@ def test_forward_is_deterministic_and_per_sample_stable():
     # Per-sample outputs must not depend on which batch they sit in: the
     # forward output and the input gradient of each sample stay bit-identical
     # under subsetting, permutation and duplication of the batch, for every
-    # kind of conv, kernel, stride, padding and odd or even field (valid
-    # padding at k=5 on field 5 leaves a single output position).
+    # kind of conv, kernel, stride and odd or even field, and for a field
+    # of 2 at stride 2, which leaves a single output position.
     rng = make_rng(9)
     kinds = {"depthwise": (8, 8, 1), "grouped": (8, 12, 2), "dense": (6, 12, None)}
     selections = {
@@ -302,9 +314,9 @@ def test_forward_is_deterministic_and_per_sample_stable():
     }
     for kind, (cin, cout, gs) in kinds.items():
         for k in (1, 3, 5):
-            for stride, padding, field in itertools.product((1, 2), convs.PADDINGS, (5, 6)):
-                case = (kind, k, stride, padding, field)
-                spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs, padding=padding)
+            for stride, field in [*itertools.product((1, 2), (5, 6)), (2, 2)]:
+                case = (kind, k, stride, field)
+                spec = convs.ConvSpec(cin, cout, k, stride=stride, group_size=gs)
                 x = rng.normal(size=(6, cin, field, field))
                 w = rng.normal(size=spec.weight_shape)
                 y, cache = convs.conv_forward(x, w, spec)

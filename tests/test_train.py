@@ -239,7 +239,7 @@ def test_sgd_step_updates_only_named_subset():
 
 def test_ema_first_call_copies():
     params = {"w": np.array([3.0])}
-    shadow = train.ema_update({}, params)
+    shadow = train.ema_update({}, params, train.TrainRecipe.ema_decay)
     assert shadow["w"][0] == 3.0
     shadow["w"][0] = 99.0
     assert params["w"][0] == 3.0  # a copy, not a view
@@ -247,18 +247,18 @@ def test_ema_first_call_copies():
 
 def test_ema_constant_params_are_a_fixed_point():
     params = {"w": np.array([1.5, -2.0])}
-    shadow = train.ema_update({}, params)
+    shadow = train.ema_update({}, params, train.TrainRecipe.ema_decay)
     for _ in range(5):
-        shadow = train.ema_update(shadow, params)
+        shadow = train.ema_update(shadow, params, train.TrainRecipe.ema_decay)
     np.testing.assert_allclose(shadow["w"], params["w"], atol=1e-12, rtol=0)
 
 
 def test_ema_two_step_expansion():
     p0, p1 = 2.0, -4.0
     params = {"w": np.array([p0])}
-    shadow = train.ema_update({}, params)
+    shadow = train.ema_update({}, params, train.TrainRecipe.ema_decay)
     params["w"][0] = p1
-    shadow = train.ema_update(shadow, params)
+    shadow = train.ema_update(shadow, params, train.TrainRecipe.ema_decay)
     assert abs(shadow["w"][0] - (0.97 * p0 + 0.03 * p1)) <= 1e-12
     assert abs(shadow["w"][0] - ema_reference([p0, p1], 0.97)[-1]) <= 1e-12
 
@@ -266,9 +266,9 @@ def test_ema_two_step_expansion():
 def test_ema_stays_inside_parameter_history_hull():
     rng = make_rng(0)
     history = rng.normal(size=(10, 6))
-    shadow = train.ema_update({}, {"w": history[0].copy()})
+    shadow = train.ema_update({}, {"w": history[0].copy()}, train.TrainRecipe.ema_decay)
     for row in history[1:]:
-        shadow = train.ema_update(shadow, {"w": row.copy()})
+        shadow = train.ema_update(shadow, {"w": row.copy()}, train.TrainRecipe.ema_decay)
     lo = history.min(axis=0) - 1e-12
     hi = history.max(axis=0) + 1e-12
     assert (shadow["w"] >= lo).all() and (shadow["w"] <= hi).all()
@@ -335,7 +335,9 @@ def test_label_validation():
     with pytest.raises(ValueError):
         train.one_hot(np.array([0, 5]), 4)
     with pytest.raises(ValueError):
-        train.smoothed_cross_entropy(np.zeros((2, 3)), np.array([[1.0, 0.0]]))
+        train.smoothed_cross_entropy(
+            np.zeros((2, 3)), np.array([[1.0, 0.0]]), train.TrainRecipe.label_smoothing
+        )
 
 
 # ---------------------------------------------------------------------------
