@@ -1,13 +1,16 @@
-"""Measure the backward caches that one forward pass leaves in the layers.
+"""Measure the backward caches that one pass leaves in the layers.
 
 Builds b0 G=16 E=4 LN+proxy at batch 4 and runs, each on a fresh model, a
-training forward (``train=True``), the last-1 fine-tune's frozen-prefix
-forward (``train=True, stop=scope_start(1), grad=False``) and an
-evaluation forward (``train=False``). After each it walks every layer's
-cache and prints the MB held, counting each buffer once by its base array:
-a view, or an array that two layers both keep, adds nothing, and neither
-does a parameter (a ``Conv`` cache keeps its weight), which exists whether
-a cache holds it or not. The parameters' MB is printed for scale.
+training forward (``train=True``), the same forward followed by its
+backward (as a training step runs them; each backward releases the cache
+it reads, so this column must read 0), the last-1 fine-tune's
+frozen-prefix forward (``train=True, stop=scope_start(1), grad=False``)
+and an evaluation forward (``train=False``). After each it walks every
+layer's cache and prints the MB held, counting each buffer once by its
+base array: a view, or an array that two layers both keep, adds nothing,
+and neither does a parameter (a ``Conv`` cache keeps its weight), which
+exists whether a cache holds it or not. The parameters' MB is printed for
+scale.
 
     PYTHONPATH=src python benchmarks/cache_bytes.py [--resolution 64 128]
 """
@@ -60,6 +63,7 @@ def measure(resolution: int) -> dict[str, float]:
     x = make_rng(1).normal(size=(BATCH, 3, resolution, resolution))
     passes = {
         "train": lambda m: m.forward(x, train=True),
+        "backward": lambda m: m.backward(np.ones_like(m.forward(x, train=True)), input_grad=False),
         "prefix": lambda m: m.forward(x, train=True, stop=m.scope_start(1), grad=False),
         "eval": lambda m: m.forward(x, train=False),
     }
@@ -76,12 +80,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--resolution", type=int, nargs="+", default=[64, 128])
     args = parser.parse_args()
-    print(f"b0 G=16 E=4 ln+proxy, batch {BATCH}: MB of backward caches after one forward pass")
-    print(f"{'resolution':>10} {'train':>8} {'prefix':>8} {'eval':>8} {'params':>8}")
+    print(f"b0 G=16 E=4 ln+proxy, batch {BATCH}: MB of backward caches after one pass")
+    columns = ("train", "backward", "prefix", "eval", "params")
+    print(f"{'resolution':>10}" + "".join(f" {c:>8}" for c in columns))
     for resolution in args.resolution:
         mb = measure(resolution)
-        print(f"{resolution:>10} {mb['train']:>8.1f} {mb['prefix']:>8.1f} {mb['eval']:>8.1f} "
-              f"{mb['params']:>8.1f}", flush=True)
+        print(f"{resolution:>10}" + "".join(f" {mb[c]:>8.1f}" for c in columns), flush=True)
 
 
 if __name__ == "__main__":

@@ -102,12 +102,18 @@ class ConvSpec:
         return total // 2, total - total // 2
 
 
-def _pad_input(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    ph = spec.pad_amounts(x.shape[2])
-    pw = spec.pad_amounts(x.shape[3])
-    if ph == (0, 0) and pw == (0, 0):
-        return x
-    return np.pad(x, ((0, 0), (0, 0), ph, pw))
+def _padded_input(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The "same"-padded input as a C-contiguous float64 array; ``x`` itself
+    when it already is one and needs no padding (every 1x1 convolution).
+    Forward and backward both pad here, and a copy into zeros is exact."""
+    b, c, h, w = x.shape
+    (top, bottom), (left, right) = spec.pad_amounts(h), spec.pad_amounts(w)
+    if top == bottom == left == right == 0:
+        return np.ascontiguousarray(x, dtype=np.float64)
+    # Half the time of np.pad on b0's spatial convolutions.
+    xp = np.zeros((b, c, top + h + bottom, left + w + right))
+    xp[:, :, top : top + h, left : left + w] = x
+    return xp
 
 
 def _columns(xp: np.ndarray, groups: int, k: int, s: int) -> np.ndarray:
@@ -135,10 +141,12 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
         raise ValueError(f"input shape {x.shape} does not match {spec}")
     if weight.shape != spec.weight_shape:
         raise ValueError(f"weight shape {weight.shape}, expected {spec.weight_shape}")
-    xp = np.ascontiguousarray(_pad_input(x, spec), dtype=np.float64)
     weight = np.ascontiguousarray(weight, dtype=np.float64)
-    y = _product(xp, weight, spec.groups, spec.stride)
-    cache = {"xp": xp, "weight": weight, "spec": spec, "in_shape": x.shape, "out_shape": y.shape}
+    y = _product(_padded_input(x, spec), weight, spec.groups, spec.stride)
+    # The cache keeps the unpadded input, not the padded copy: the layer
+    # before often keeps the same array (a proxy NormAct's output), and
+    # backward pads it again.
+    cache = {"x": x, "weight": weight, "spec": spec, "out_shape": y.shape}
     return y, cache
 
 
@@ -238,7 +246,8 @@ def conv_backward(cache, dy: np.ndarray, input_grad: bool = True):
         )
     spec: ConvSpec = cache["spec"]
     dy = np.ascontiguousarray(dy, dtype=np.float64)
-    dw = _weight_grad(cache["xp"], dy, spec)
+    x = cache["x"]
+    dw = _weight_grad(_padded_input(x, spec), dy, spec)
     if not input_grad:
         return None, dw
-    return _input_grad(dy, cache["weight"], spec, cache["in_shape"]), dw
+    return _input_grad(dy, cache["weight"], spec, x.shape), dw

@@ -12,8 +12,13 @@ A leaf keeps what its backward pass reads (its cache) only when the forward
 pass runs with ``train=True`` and ``grad=True``; otherwise it drops it. So
 evaluation (``train=False``) keeps nothing, and ``grad=False`` runs a
 forward pass in train mode (batch norm's running moments still move) that
-no backward pass follows, such as the fine-tune's frozen prefix. A backward
-pass through a leaf without a cache raises ``RuntimeError``.
+no backward pass follows, such as the fine-tune's frozen prefix. A cache
+lives from a training forward to its backward, which releases it as it
+reads it; a backward pass through a leaf without a cache, a second
+backward on one forward included, raises ``RuntimeError``. The caches hold
+only what backward cannot cheaply recompute: ``Conv`` keeps its unpadded
+input (the layer before keeps the same array) and pads it again, and
+``NormAct`` recomputes its pre-activation from the normalized input.
 ``backward(..., input_grad=False)`` computes the parameter gradients only
 and returns ``None``: a composite passes it to the child at ``stop`` alone,
 whose input gradient is the one it would return.
@@ -136,13 +141,16 @@ class Layer:
         return children[0].backward(dh, input_grad=input_grad) if children else dh
 
     def _backward_cache(self):
-        """The cache of the last forward pass, which must have kept one."""
-        if self._cache is None:
+        """Hand over the cache of the last forward pass, which must have kept
+        one, and release it: one backward pass reads it."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError(
                 f"{type(self).__name__}.backward has no cache: the last forward "
-                "ran with train=False or grad=False, or never ran"
+                "ran with train=False or grad=False, its backward already ran, "
+                "or it never ran"
             )
-        return self._cache
+        return cache
 
 
 class Conv(Layer):

@@ -221,14 +221,23 @@ def scaled_activation(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray, act: A
     c = y.shape[1]
     gs = gamma.reshape(1, c, 1, 1)
     bs = beta.reshape(1, c, 1, 1)
-    a = gs * y + bs
-    z = act.fn(a)
-    return z, {"y": y, "a": a, "gamma": gs, "act": act}
+    z = act.fn(_pre_activation(y, gs, bs))
+    # The cache keeps beta, not the pre-activation: backward recomputes it.
+    return z, {"y": y, "gamma": gs, "beta": bs, "act": act}
+
+
+def _pre_activation(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """gamma * y + beta in one buffer. Forward and backward both compute it
+    here, so backward's recomputed pre-activation has the forward's bits."""
+    a = gamma * y
+    a += beta
+    return a
 
 
 def scaled_activation_backward(cache, dz: np.ndarray):
     """Returns (dy, dgamma, dbeta)."""
-    da = dz * cache["act"].deriv(cache["a"])
+    a = _pre_activation(cache["y"], cache["gamma"], cache["beta"])
+    da = dz * cache["act"].deriv(a)
     dy = da * cache["gamma"]
     dgamma = (da * cache["y"]).sum(axis=(0, 2, 3))
     dbeta = da.sum(axis=(0, 2, 3))

@@ -19,6 +19,7 @@ convolution of a ``model_plan``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .model import ConvDims, ModelConfig, model_plan, rows_csv
@@ -66,8 +67,8 @@ class HardwareProfile:
     bytes_per_element: int
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.mem_bandwidth <= 0:
-            raise ValueError("peak_flops and mem_bandwidth must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.peak_flops, self.mem_bandwidth)):
+            raise ValueError("peak_flops and mem_bandwidth must be positive and finite")
         if self.bytes_per_element not in (2, 4, 8):
             raise ValueError(f"bytes_per_element must be 2, 4 or 8, got {self.bytes_per_element}")
 
@@ -90,13 +91,18 @@ class HardwareProfile:
         if missing:
             raise ValueError(f"hardware profile missing keys: {missing}")
         try:
-            return cls(
-                peak_flops=float(raw["peak_flops"]),
-                mem_bandwidth=float(raw["mem_bandwidth"]),
-                bytes_per_element=int(raw["bytes_per_element"]),
-            )
+            peak_flops = float(raw["peak_flops"])
+            mem_bandwidth = float(raw["mem_bandwidth"])
+            bytes_per_element = int(raw["bytes_per_element"])
         except TypeError as exc:
             raise ValueError(f"hardware profile values must be numbers: {exc}") from None
+        except OverflowError as exc:  # int() of an infinite JSON number
+            raise ValueError(f"hardware profile values must be finite: {exc}") from None
+        if bytes_per_element != raw["bytes_per_element"]:
+            raise ValueError(
+                f"bytes_per_element must be an integer, got {raw['bytes_per_element']!r}"
+            )
+        return cls(peak_flops, mem_bandwidth, bytes_per_element)
 
 
 @dataclass(frozen=True)

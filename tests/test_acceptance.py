@@ -173,7 +173,8 @@ def _proxy_instance(activation, i, rng):
         if activation != "relu":
             return layer, x
         layer.forward(x, train=True)
-        pre = layer._cache[1]["a"]
+        y = layer._cache[1]["y"]
+        pre = layer.gamma.reshape(1, -1, 1, 1) * y + layer.beta.reshape(1, -1, 1, 1)
         # keep every pre-activation clear of the relu kink so central
         # differences never straddle it
         if np.abs(pre).min() > 5e-4:

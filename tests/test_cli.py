@@ -337,6 +337,29 @@ def test_roofline_malformed_profile_exits_2(tmp_path, capsys, profile, message):
     assert message in stderr
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("bytes_per_element", "1e400", "must be finite"),
+     ("peak_flops", "NaN", "must be positive and finite"),
+     ("bytes_per_element", "2.7", "must be an integer")],
+    ids=["infinite-bytes", "nan-flops", "fractional-bytes"],
+)
+def test_roofline_non_finite_or_fractional_profile_exits_2(tmp_path, capsys, field, value,
+                                                           message):
+    # Written as text: 1e400 parses to inf and NaN to nan, which
+    # json.dumps would not spell this way. main returns 2 only for an error
+    # it caught and reported in one line, so no traceback reaches the user.
+    profile = {**PROFILE, field: "@"}
+    profile_path = tmp_path / "hw.json"
+    profile_path.write_text(json.dumps(profile).replace('"@"', value))
+    rc, _, stderr = run(
+        ["roofline", "--profile", str(profile_path), "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert rc == 2
+    assert message in stderr
+
+
 def test_report_resolution_floor_follows_the_model(tmp_path, capsys):
     # tiny has two stride-2 layers, so 16 px is above its floor of 4; b0 has
     # five, and its forward pass rejects 8 px, so its reports do too.

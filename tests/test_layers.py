@@ -51,8 +51,9 @@ def test_normact_relu_proxy_gradients_away_from_kink():
     rng = make_rng(3)
     layer = layers.NormAct(4, NormSpec("ln"), "relu", proxy=True)
     x = rng.normal(size=(2, 4, 5, 5))
-    y = layer.forward(x, train=True)
-    pre = layer._cache[1]["a"]
+    layer.forward(x, train=True)
+    y = layer._cache[1]["y"]  # the normalized input; the pre-activation is recomputed
+    pre = layer.gamma.reshape(1, -1, 1, 1) * y + layer.beta.reshape(1, -1, 1, 1)
     mask = np.abs(pre) < 1e-2
     assert mask.mean() < 0.05
     x = x + 0.3 * np.sign(x)  # widen the margin
@@ -191,11 +192,15 @@ def test_composite_runs_children_in_registration_order():
     dy = rng.normal(size=y.shape)
     root.zero_grads()
     dx = root.backward(dy)
+    # Each backward reads its own forward's caches, so run forward again.
+    root.forward(x)
     np.testing.assert_array_equal(dx, a.backward(b.backward(dy)))
     h = root.forward(x, stop=1)
     np.testing.assert_array_equal(root.forward(h, start=1), y)
     root.zero_grads()
-    np.testing.assert_array_equal(root.backward(dy, stop=1), b.backward(dy))
+    dh = root.backward(dy, stop=1)
+    root.forward(h, start=1)
+    np.testing.assert_array_equal(dh, b.backward(dy))
     assert not a.grads()["weight"].any()
 
 
@@ -257,6 +262,25 @@ def test_backward_after_a_forward_only_pass_raises(leaf, forward_only):
 
 
 @pytest.mark.parametrize("leaf", LEAVES)
+def test_backward_releases_the_cache_and_a_second_backward_raises(leaf):
+    # A cache lives from a training forward to its backward: the backward
+    # releases it, so a second backward on the same forward raises and
+    # accumulates nothing.
+    rng = make_rng(17)
+    layer, shape = LEAVES[leaf](rng)
+    x = rng.normal(size=shape)
+    dy = rng.normal(size=layer.forward(x, train=True).shape)
+    layer.zero_grads()
+    layer.backward(dy)
+    assert all(node._cache is None for _, node in layer.walk())
+    once = {k: v.copy() for k, v in layer.grads().items()}
+    with pytest.raises(RuntimeError, match="backward already ran"):
+        layer.backward(dy)
+    for name, g in layer.grads().items():
+        np.testing.assert_array_equal(g, once[name], err_msg=name)
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
 def test_backward_without_input_grad_returns_none_and_the_same_parameter_grads(leaf):
     rng = make_rng(16)
     layer, shape = LEAVES[leaf](rng)
@@ -265,6 +289,7 @@ def test_backward_without_input_grad_returns_none_and_the_same_parameter_grads(l
     layer.zero_grads()
     assert layer.backward(dy).shape == x.shape
     want = {k: v.copy() for k, v in layer.grads().items()}
+    layer.forward(x, train=True)
     layer.zero_grads()
     assert layer.backward(dy, input_grad=False) is None
     for name, g in layer.grads().items():

@@ -440,10 +440,12 @@ def test_backward_without_input_grad_keeps_every_parameter_grad(size):
     residual = next(i for i, name in enumerate(net._order)
                     if name.startswith("blocks/") and net._children[name].dims.residual)
     for stop in (0, residual, net.scope_start(1)):
+        net.forward(x, train=True)
         net.zero_grads()
         dx = net.backward(dy, stop=stop)
         assert dx is not None
         want = {k: v.copy() for k, v in net.grads().items()}
+        net.forward(x, train=True)
         net.zero_grads()
         assert net.backward(dy, stop=stop, input_grad=False) is None
         for name, g in net.grads().items():
