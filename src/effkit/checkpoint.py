@@ -10,13 +10,16 @@ Layout, all integers little-endian uint64:
 
 Other float dtypes are widened to float64 on save (losslessly for
 float32). Writes go to a temporary file in the target directory followed
-by an atomic rename. Loading checks each blob's header against the index
-and reads each payload straight into a fresh writeable float64 array.
+by an atomic rename. Loading checks each index entry (a non-negative
+integer offset and extents, dtype ``"f64"``, a blob that ends inside the
+file) before it allocates anything, then each blob's header against the
+index, and reads each payload straight into a fresh writeable float64 array.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -60,8 +63,28 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         raise
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _entry_shape(name: str, entry, room: int) -> tuple[int, ...]:
+    """The shape of a well-formed index entry whose blob fits in the ``room``
+    bytes after the index; ``ValueError`` otherwise."""
+    if not isinstance(entry, dict) or entry.get("dtype") != "f64":
+        raise ValueError(f"{name}: index entry {entry!r} is not an f64 tensor")
+    shape, offset = entry.get("shape"), entry.get("offset")
+    if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(offset)):
+        raise ValueError(f"{name}: offset and extents must be non-negative integers, "
+                         f"got offset {offset!r} and shape {shape!r}")
+    if offset + 8 * (1 + len(shape) + math.prod(shape)) > room:
+        raise ValueError(f"{name}: a blob of shape {shape} at offset {offset} "
+                         "runs past the end of the file")
+    return tuple(shape)
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         raw = fh.read(8)
         if len(raw) != 8:
             raise ValueError("truncated checkpoint header")
@@ -70,7 +93,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         base = fh.tell()
         arrays = {}
         for name, entry in index["tensors"].items():
-            shape = tuple(entry["shape"])
+            shape = _entry_shape(name, entry, size - base)
             fh.seek(base + entry["offset"])
             header = _header(shape)
             if fh.read(len(header)) != header:

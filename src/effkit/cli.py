@@ -274,7 +274,7 @@ def cmd_finetune(eff: dict) -> int:
     if eff["checkpoint"] is None:
         raise ValueError("missing checkpoint (--checkpoint PATH)")
     ckpt = Checkpoint.load(eff["checkpoint"])
-    model = ckpt.build_model(make_rng(eff["seed"]))
+    model = ckpt.build_model()
     recipe = FinetuneRecipe(
         scope=eff["scope"], epochs=eff["epochs"], batch=eff["batch"], initial_lr=eff["lr0"]
     )

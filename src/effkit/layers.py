@@ -22,6 +22,10 @@ input (the layer before keeps the same array) and pads it again, and
 ``backward(..., input_grad=False)`` computes the parameter gradients only
 and returns ``None``: a composite passes it to the child at ``stop`` alone,
 whose input gradient is the one it would return.
+
+``Conv`` and ``Linear`` draw their weights from the generator they are
+given; ``rng=None`` allocates zeros and draws nothing, for a model whose
+state is loaded next (``Checkpoint.build_model``).
 """
 
 from __future__ import annotations
@@ -153,15 +157,23 @@ class Layer:
         return cache
 
 
-class Conv(Layer):
-    """Grouped convolution, no bias (the following norm supplies the shift)."""
+def _init_weight(rng: np.random.Generator | None, shape, variance: float) -> np.ndarray:
+    """Zero-mean normal draws of the given variance; zeros without a
+    generator, for a layer whose state is loaded next (a checkpoint's)."""
+    if rng is None:
+        return np.zeros(shape)
+    return rng.normal(0.0, np.sqrt(variance), size=shape)
 
-    def __init__(self, spec: ConvSpec, rng: np.random.Generator):
+
+class Conv(Layer):
+    """Grouped convolution, no bias (the following norm supplies the shift).
+    He-normal weights from ``rng``; zeros with ``rng=None``."""
+
+    def __init__(self, spec: ConvSpec, rng: np.random.Generator | None):
         super().__init__()
         self.spec = spec
         fan_in = spec.resolved_group_size * spec.kernel * spec.kernel
-        init = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.weight_shape)
-        self.w = self.add_param("weight", init)
+        self.w = self.add_param("weight", _init_weight(rng, spec.weight_shape, 2.0 / fan_in))
 
     def forward(self, x, train=True, grad=True):
         y, cache = conv_forward(x, self.w, self.spec)
@@ -175,10 +187,13 @@ class Conv(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    """Dense layer; normal weights of variance 1/in_features from ``rng``,
+    zeros with ``rng=None``, and a zero bias."""
+
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None):
         super().__init__()
         self.w = self.add_param(
-            "weight", rng.normal(0.0, np.sqrt(1.0 / in_features), size=(in_features, out_features))
+            "weight", _init_weight(rng, (in_features, out_features), 1.0 / in_features)
         )
         self.b = self.add_param("bias", np.zeros(out_features))
 
@@ -257,7 +272,7 @@ class NormAct(Layer):
 class SqueezeExcite(Layer):
     """Global-pool gating: sigmoid(W2 swish(W1 mean(x))) scales each channel."""
 
-    def __init__(self, channels: int, reduced: int, rng: np.random.Generator):
+    def __init__(self, channels: int, reduced: int, rng: np.random.Generator | None):
         super().__init__()
         self.fc1 = self.add_child("reduce", Linear(channels, reduced, rng))
         self.fc2 = self.add_child("expand", Linear(reduced, channels, rng))

@@ -234,7 +234,7 @@ class MBConv(Layer):
     identity activation and never proxy-normalizes (there is no activation
     to recenter)."""
 
-    def __init__(self, dims: BlockDims, config: ModelConfig, rng):
+    def __init__(self, dims: BlockDims, config: ModelConfig, rng: np.random.Generator | None):
         super().__init__()
         self.dims = dims
         mid = dims.mid_channels
@@ -266,7 +266,11 @@ class MBConv(Layer):
 
 
 class EfficientNet(Layer):
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    """The layer tree of ``config``. Its convolution and classifier weights
+    are drawn from ``rng``; with ``rng=None`` they are zeros and nothing is
+    drawn, for a model whose state is loaded next (``Checkpoint.build_model``)."""
+
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         super().__init__()
         self.config = config
         dims = block_dims(config)
@@ -334,6 +338,8 @@ class EfficientNet(Layer):
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator) -> EfficientNet:
+    """A freshly initialized model: its weights are drawn from ``rng``. A
+    model built to hold a checkpoint's state is ``Checkpoint.build_model``'s."""
     return EfficientNet(config, rng)
 
 

@@ -316,6 +316,11 @@ def augment_batch(x, targets, rng: np.random.Generator, recipe: TrainRecipe):
 
 @dataclass
 class Checkpoint:
+    """A run's state (parameters plus buffers), optimizer state and averaged
+    parameters (``ema``). The groups may share arrays: a fine-tune keeps no
+    average, so its ``ema`` maps each parameter name to the very array
+    ``state`` holds under it. Treat a checkpoint's arrays as read-only."""
+
     state: dict[str, np.ndarray]  # parameters plus buffers
     opt_state: dict[str, np.ndarray]
     ema: dict[str, np.ndarray]
@@ -353,8 +358,14 @@ class Checkpoint:
             model_config=meta.get("model_config", {}),
         )
 
-    def build_model(self, rng: np.random.Generator) -> EfficientNet:
-        model = EfficientNet(config_from_dict(self.model_config), rng)
+    def build_model(self, rng: np.random.Generator | None = None) -> EfficientNet:
+        """The model ``model_config`` describes, holding ``state``. Its layers
+        are allocated without drawing any weight (``EfficientNet(config,
+        None)``), and ``load_state`` then writes every entry; it raises
+        ``KeyError`` on a missing entry and ``ValueError`` on a wrong shape,
+        so no unloaded weight reaches the caller. ``rng`` is not read: a
+        generator passed here is left as it was."""
+        model = EfficientNet(config_from_dict(self.model_config), None)
         model.load_state(self.state)
         return model
 
@@ -499,6 +510,13 @@ def finetune(
     starting from the checkpoint's averaged weights. Parameters outside the
     scope are bit-identical afterwards.
 
+    The model is loaded once, with the parameters of ``ckpt.ema`` and the
+    buffers of ``ckpt.state``; ``ckpt.ema`` must name exactly the model's
+    parameters, or ``KeyError`` is raised, so a missing average never falls
+    back to the raw weights. The returned checkpoint copies the final state
+    once: a fine-tune keeps no average, so its ``ema`` maps each parameter
+    name to the same array as its ``state``.
+
     Only the scope is trained, so only the scope is computed every step.
     The frozen prefix (the children of ``model._order`` before
     ``model.scope_start``) runs forward in train mode once per distinct
@@ -517,10 +535,12 @@ def finetune(
     data = list(data)
     if not data:
         raise ValueError("no fine-tuning batches")
-    model.load_state(ckpt.state)
     params = model.params()
-    for name, arr in params.items():
-        arr[...] = ckpt.ema[name]
+    if set(ckpt.ema) != set(params):
+        missing, extra = sorted(set(params) - set(ckpt.ema)), sorted(set(ckpt.ema) - set(params))
+        raise KeyError(f"checkpoint average does not match the model's parameters: "
+                       f"missing {missing[:5]}, unknown {extra[:5]}")
+    model.load_state({**ckpt.state, **ckpt.ema})
     first = model.scope_start(recipe.last_k)
     scoped = sorted(model.scope_param_names(recipe.last_k))
     grads = model.grads()  # backward accumulates into these arrays in place
@@ -547,10 +567,11 @@ def finetune(
         _write_log(log_path, log_rows)
     final = model.state()
     _check_finite("state", final)
+    state = {k: v.copy() for k, v in final.items()}
     return Checkpoint(
-        state={k: v.copy() for k, v in final.items()},
+        state=state,
         opt_state={},
-        ema={k: v.copy() for k, v in params.items()},
+        ema={k: state[k] for k in params},
         epoch=ckpt.epoch + recipe.epochs,
         fingerprint=recipe_fingerprint(recipe),
         model_config=config_to_dict(model.config),

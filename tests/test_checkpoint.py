@@ -1,6 +1,7 @@
 """Checkpoint container format and the trained-state wrapper."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from effkit import checkpoint, train
 from effkit.data import as_batches, blob_dataset
 from effkit.model import ModelConfig, build_model, config_from_dict
+from effkit.norms import NormSpec
 from effkit.tensor import make_rng
 
 
@@ -86,6 +88,34 @@ def test_load_rejects_corruption(tmp_path):
         (tmp_path / "bad.bin").write_bytes(bad)
         with pytest.raises(ValueError, match="w: blob .* index"):
             checkpoint.load_checkpoint(tmp_path / "bad.bin")
+    # a malformed index is refused before anything is allocated: a negative
+    # or fractional extent, a blob larger than the file (8 TiB), another dtype
+    for change, named in (({"shape": [-4, 4]}, "non-negative integers"),
+                          ({"shape": [4, 2.5]}, "non-negative integers"),
+                          ({"shape": [1 << 20, 1 << 20]}, "past the end of the file"),
+                          ({"offset": -8}, "non-negative integers"),
+                          ({"dtype": "f32"}, "not an f64 tensor")):
+        path = tmp_path / "index.bin"
+        path.write_bytes(with_index_entry(data, "w", **change))
+        with pytest.raises(ValueError, match=f"w: .*{named}"):
+            checkpoint.load_checkpoint(path)
+
+
+def with_index_entry(data: bytes, name: str, **change) -> bytes:
+    """Checkpoint bytes whose index entry for ``name`` takes ``change``. A
+    changed shape of the same rank and of non-negative integers is written
+    into the blob header too, so that only the extents are at fault."""
+    blob = 8 + struct.unpack("<Q", data[:8])[0]
+    index = json.loads(data[8:blob])
+    entry = index["tensors"][name]
+    body = bytearray(data[blob:])
+    shape = change.get("shape", entry["shape"])
+    if len(shape) == len(entry["shape"]) and all(isinstance(n, int) and n >= 0 for n in shape):
+        at = entry["offset"] + 8
+        body[at : at + 8 * len(shape)] = struct.pack(f"<{len(shape)}Q", *shape)
+    entry.update(change)
+    raw = json.dumps(index).encode()
+    return struct.pack("<Q", len(raw)) + raw + bytes(body)
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -143,3 +173,24 @@ def test_checkpoint_rebuilds_a_working_model(tmp_path):
     # rebuilt twice gives identical outputs: state fully determines the model
     net2 = train.Checkpoint.load(path).build_model(make_rng(99))
     np.testing.assert_array_equal(net2.forward(x, train=False), logits)
+
+
+def test_checkpoint_build_draws_nothing_and_holds_the_state_bit_for_bit():
+    # A bn model, so that the running-moment buffers are loaded too.
+    net = build_model(ModelConfig.tiny(norm=NormSpec("bn")), make_rng(4))
+    x, y = blob_dataset(16, size=32, classes=2, seed=4)
+    ckpt = train.train_loop(net, as_batches(x, y, 8), train.TrainRecipe(global_batch=8),
+                            seed=0, max_steps=2)
+    assert any("running_var" in name for name in ckpt.state)
+    rng = make_rng(5)
+
+    def generator_state():  # Philox's state holds arrays: compare it as JSON
+        return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+    before = generator_state()
+    built = ckpt.build_model(rng)
+    assert generator_state() == before
+    state = built.state()
+    assert sorted(state) == sorted(ckpt.state)
+    for name, arr in ckpt.state.items():
+        assert state[name].tobytes() == arr.tobytes(), name

@@ -15,6 +15,8 @@ from effkit.model import ModelConfig, count_cost
 from effkit.norms import NormSpec
 from effkit.train import Checkpoint
 
+from test_checkpoint import with_index_entry
+
 
 def run(argv, capsys):
     rc = main(argv)
@@ -657,6 +659,22 @@ def test_finetune_malformed_checkpoint_config_exits_2(part, train_run, tmp_path,
     assert rc == 2
     assert named in stderr
     assert not (tmp_path / "ft" / "finetune_checkpoint.bin").exists()
+
+
+def test_finetune_malformed_checkpoint_index_exits_2(train_run, tmp_path, capsys):
+    # An extent far beyond the file: refused before allocating 8 TiB.
+    data = (train_run / "checkpoint.bin").read_bytes()
+    path = tmp_path / "bad.bin"
+    name = "state/head_conv/weight"
+    path.write_bytes(with_index_entry(data, name, shape=[1 << 20, 1 << 20, 1, 1]))
+    rc, _, stderr = run(
+        ["finetune", "--checkpoint", str(path), "--samples", "8", "--batch", "8",
+         "--epochs", "1", "--out", str(tmp_path / "ft")],
+        capsys,
+    )
+    assert rc == 2
+    assert stderr.startswith(f"error: {name}: ")
+    assert "past the end of the file" in stderr and "Traceback" not in stderr
 
 
 # ---------------------------------------------------------------- verify

@@ -580,6 +580,37 @@ def test_finetune_starts_from_the_averaged_weights():
     assert not np.array_equal(params[probe], ckpt.state[probe])
 
 
+def test_finetune_refuses_an_average_that_lacks_a_parameter():
+    # The load merges state and average; a parameter missing from the
+    # average must not be fine-tuned from the raw weights instead.
+    net, batches = tiny_setup(seed=18)
+    ckpt = train.train_loop(net, batches, train.TrainRecipe(global_batch=8), seed=0,
+                            max_steps=1)
+    del ckpt.ema["stem_conv/weight"]
+    ft = train.FinetuneRecipe(scope="last-1", epochs=1, batch=8)
+    with pytest.raises(KeyError, match="stem_conv/weight"):
+        train.finetune(net, ckpt, ft, batches)
+
+
+def test_finetune_result_shares_its_average_with_its_state(tmp_path):
+    # One closing copy: a fine-tune keeps no average, so each ema entry is
+    # the state's own array, and the saved file holds both groups.
+    net, batches = tiny_setup(seed=18)
+    ckpt = train.train_loop(net, batches, train.TrainRecipe(global_batch=8), seed=0,
+                            max_steps=1)
+    result = train.finetune(net, ckpt, train.FinetuneRecipe(scope="last-1", batch=8), batches)
+    params = net.params()
+    assert set(result.ema) == set(params)
+    for name in params:
+        assert result.ema[name] is result.state[name], name
+        assert result.state[name] is not params[name], name
+    result.save(tmp_path / "ft.bin")
+    back = train.Checkpoint.load(tmp_path / "ft.bin")
+    assert set(back.ema) == set(params)
+    for name in params:
+        assert np.array_equal(back.ema[name], back.state[name]), name
+
+
 # Three downsampling blocks, so that last-2 and last-3 begin inside the
 # blocks; on tiny (one downsampling block) last-3 takes in the stem.
 DEEP_TINY = dict(stages=(StageSpec(8, 1, 3, 1, 1), StageSpec(16, 1, 3, 2, 4),
