@@ -1,10 +1,10 @@
 """Print digests of the state that short train, fine-tune and eval runs leave.
 
-Each case trains with ``train_loop`` (parameters, batch-norm buffers,
-RMSProp state and weight average), fine-tunes the result with ``finetune``
-and evaluates the fine-tuned model; the line holds the first 16 hex digits
-of the SHA-256 of each. Two source trees compute bit-identical results
-exactly when this script prints the same lines under both:
+Each case trains with ``train_loop`` (parameters, batch-norm buffers and
+weight average), fine-tunes the result with ``finetune`` and evaluates the
+fine-tuned model; the line holds the first 16 hex digits of the SHA-256 of
+each. Two source trees compute bit-identical results exactly when this
+script prints the same lines under both:
 
     PYTHONPATH=src python benchmarks/state_digest.py
 """
@@ -52,7 +52,7 @@ def run_case(config, resolution, samples, batch, scope) -> str:
     ckpt = train_loop(model, batches, TrainRecipe(global_batch=batch, epochs=2), seed=3)
     tuned = finetune(model, ckpt, FinetuneRecipe(scope=scope, batch=batch), batches)
     logits = model.forward(x, train=False)
-    return (f"train {digest(ckpt.state, ckpt.opt_state, ckpt.ema)}  "
+    return (f"train {digest(ckpt.state, ckpt.ema)}  "
             f"finetune {digest(tuned.state, tuned.ema)}  eval {digest({'logits': logits})}")
 
 

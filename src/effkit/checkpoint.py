@@ -10,10 +10,11 @@ Layout, all integers little-endian uint64:
 
 Other float dtypes are widened to float64 on save (losslessly for
 float32). Writes go to a temporary file in the target directory followed
-by an atomic rename. Loading checks each index entry (a non-negative
-integer offset and extents, dtype ``"f64"``, a blob that ends inside the
-file) before it allocates anything, then each blob's header against the
-index, and reads each payload straight into a fresh writeable float64 array.
+by an atomic rename. Loading checks that the index, its ``tensors`` and its
+``meta`` are JSON objects, then each index entry (a non-negative integer
+offset and extents, dtype ``"f64"``, a blob that ends inside the file)
+before it allocates anything, then each blob's header against the index,
+and reads each payload straight into a fresh writeable float64 array.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError("truncated checkpoint header")
         (index_len,) = struct.unpack("<Q", raw)
         index = json.loads(fh.read(index_len).decode())
+        if not isinstance(index, dict):
+            raise ValueError(f"checkpoint index must be a JSON object, not {type(index).__name__}")
+        for part in ("tensors", "meta"):
+            if not isinstance(index.get(part), dict):
+                raise ValueError(f"checkpoint index {part!r} must be a JSON object, "
+                                 f"not {type(index.get(part)).__name__}")
         base = fh.tell()
         arrays = {}
         for name, entry in index["tensors"].items():

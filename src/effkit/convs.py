@@ -102,18 +102,20 @@ class ConvSpec:
         return total // 2, total - total // 2
 
 
-def _padded_input(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """The "same"-padded input as a C-contiguous float64 array; ``x`` itself
-    when it already is one and needs no padding (every 1x1 convolution).
-    Forward and backward both pad here, and a copy into zeros is exact."""
-    b, c, h, w = x.shape
-    (top, bottom), (left, right) = spec.pad_amounts(h), spec.pad_amounts(w)
+def _padded(a: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+    """``a`` (B, C, H, W) zero-padded by (before, after) ``rows`` and ``cols``
+    as a C-contiguous float64 array; ``a`` itself when it already is one and
+    needs no padding (every 1x1 convolution). Every convolution pads here,
+    the input for forward and weight gradient, dy for the input gradient."""
+    (top, bottom), (left, right) = rows, cols
     if top == bottom == left == right == 0:
-        return np.ascontiguousarray(x, dtype=np.float64)
-    # Half the time of np.pad on b0's spatial convolutions.
-    xp = np.zeros((b, c, top + h + bottom, left + w + right))
-    xp[:, :, top : top + h, left : left + w] = x
-    return xp
+        return np.ascontiguousarray(a, dtype=np.float64)
+    # A copy into zeros is exact, and half the time of numpy.pad on b0's
+    # spatial convolutions.
+    b, c, h, w = a.shape
+    out = np.zeros((b, c, top + h + bottom, left + w + right))
+    out[:, :, top : top + h, left : left + w] = a
+    return out
 
 
 def _columns(xp: np.ndarray, groups: int, k: int, s: int) -> np.ndarray:
@@ -142,7 +144,8 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
     if weight.shape != spec.weight_shape:
         raise ValueError(f"weight shape {weight.shape}, expected {spec.weight_shape}")
     weight = np.ascontiguousarray(weight, dtype=np.float64)
-    y = _product(_padded_input(x, spec), weight, spec.groups, spec.stride)
+    xp = _padded(x, spec.pad_amounts(x.shape[2]), spec.pad_amounts(x.shape[3]))
+    y = _product(xp, weight, spec.groups, spec.stride)
     # The cache keeps the unpadded input, not the padded copy: the layer
     # before often keeps the same array (a proxy NormAct's output), and
     # backward pads it again.
@@ -228,8 +231,7 @@ def _input_grad(dy: np.ndarray, weight: np.ndarray, spec: ConvSpec, in_shape) ->
     c0, c1, coff = _phase_span(spec, w)
     # Phase row m reads dy rows m-t+1 .. m, so dy is zero-padded to cover
     # rows r0-t+1 .. r1-1; for every geometry r0 < t and r1 >= OH.
-    pads = ((0, 0), (0, 0), (t - 1 - r0, r1 - dy.shape[2]), (t - 1 - c0, c1 - dy.shape[3]))
-    window = np.pad(dy, pads) if any(map(any, pads)) else dy
+    window = _padded(dy, (t - 1 - r0, r1 - dy.shape[2]), (t - 1 - c0, c1 - dy.shape[3]))
     phases = _product(window, wt, spec.groups, 1)
     mh, mw = r1 - r0, c1 - c0
     dxp = phases.reshape(b, c, s, s, mh, mw).transpose(0, 1, 4, 2, 5, 3)
@@ -247,7 +249,8 @@ def conv_backward(cache, dy: np.ndarray, input_grad: bool = True):
     spec: ConvSpec = cache["spec"]
     dy = np.ascontiguousarray(dy, dtype=np.float64)
     x = cache["x"]
-    dw = _weight_grad(_padded_input(x, spec), dy, spec)
+    xp = _padded(x, spec.pad_amounts(x.shape[2]), spec.pad_amounts(x.shape[3]))
+    dw = _weight_grad(xp, dy, spec)
     if not input_grad:
         return None, dw
     return _input_grad(dy, cache["weight"], spec, x.shape), dw

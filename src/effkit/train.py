@@ -61,8 +61,8 @@ class TrainRecipe:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if self.base_lr is None:
             object.__setattr__(self, "base_lr", self.global_batch * 2.0**LR_EXPONENT)
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0.0 < self.base_lr < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
         if not 0.0 < self.rmsprop_decay < 1.0:
             raise ValueError(f"rmsprop_decay must lie in (0, 1), got {self.rmsprop_decay}")
 
@@ -81,7 +81,7 @@ class FinetuneRecipe:
     def __post_init__(self):
         if self.scope not in FINETUNE_SCOPES:
             raise ValueError(f"scope must be one of {FINETUNE_SCOPES}, got {self.scope!r}")
-        if self.epochs < 1 or self.batch < 1 or self.initial_lr <= 0:
+        if self.epochs < 1 or self.batch < 1 or not 0.0 < self.initial_lr < math.inf:
             raise ValueError(f"invalid fine-tune recipe: {self}")
 
     @property
@@ -316,13 +316,13 @@ def augment_batch(x, targets, rng: np.random.Generator, recipe: TrainRecipe):
 
 @dataclass
 class Checkpoint:
-    """A run's state (parameters plus buffers), optimizer state and averaged
-    parameters (``ema``). The groups may share arrays: a fine-tune keeps no
-    average, so its ``ema`` maps each parameter name to the very array
-    ``state`` holds under it. Treat a checkpoint's arrays as read-only."""
+    """A run's state (parameters plus buffers) and averaged parameters
+    (``ema``), what a fine-tune reads back; a run's optimizer state is not
+    kept. The groups may share arrays: a fine-tune keeps no average, so its
+    ``ema`` maps each parameter name to the very array ``state`` holds under
+    it. Treat a checkpoint's arrays as read-only."""
 
     state: dict[str, np.ndarray]  # parameters plus buffers
-    opt_state: dict[str, np.ndarray]
     ema: dict[str, np.ndarray]
     epoch: int
     fingerprint: str
@@ -331,7 +331,6 @@ class Checkpoint:
     def save(self, path) -> None:
         arrays = {}
         arrays.update({f"state/{k}": v for k, v in self.state.items()})
-        arrays.update({f"opt/{k}": v for k, v in self.opt_state.items()})
         arrays.update({f"ema/{k}": v for k, v in self.ema.items()})
         meta = {
             "epoch": self.epoch,
@@ -343,15 +342,19 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         arrays, meta = load_checkpoint(path)
-        groups = {"state": {}, "opt": {}, "ema": {}}
+        for key in ("epoch", "fingerprint"):
+            if key not in meta:
+                raise ValueError(f"checkpoint meta has no {key!r} entry")
+        groups = {"state": {}, "ema": {}}
         for name, arr in arrays.items():
             prefix, _, rest = name.partition("/")
+            if prefix == "opt":  # RMSProp state that older files hold; nothing reads it
+                continue
             if prefix not in groups:
                 raise ValueError(f"unknown checkpoint entry {name!r}")
             groups[prefix][rest] = arr
         return cls(
             state=groups["state"],
-            opt_state=groups["opt"],
             ema=groups["ema"],
             epoch=int(meta["epoch"]),
             fingerprint=meta["fingerprint"],
@@ -438,9 +441,11 @@ def train_loop(
     norm batch-independent: batch norm's statistics would depend on the
     chunking.
 
+    The checkpoint holds the final state and the weight average; the
+    RMSProp state lives only while the loop runs.
+
     Raises ``FloatingPointError`` on a non-finite step loss or a non-finite
-    final state, optimizer state or average; the log up to that point is
-    still written.
+    final state or average; the log up to that point is still written.
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
@@ -487,11 +492,10 @@ def train_loop(
     if log_path is not None:
         _write_log(log_path, log_rows)
     final = model.state()
-    for group, arrays in (("state", final), ("optimizer", state), ("average", ema)):
+    for group, arrays in (("state", final), ("average", ema)):
         _check_finite(group, arrays)
     return Checkpoint(
         state={k: v.copy() for k, v in final.items()},
-        opt_state=state,
         ema=ema,
         epoch=min(recipe.epochs, math.ceil(step / steps_per_epoch)),
         fingerprint=recipe_fingerprint(recipe),
@@ -570,7 +574,6 @@ def finetune(
     state = {k: v.copy() for k, v in final.items()}
     return Checkpoint(
         state=state,
-        opt_state={},
         ema={k: state[k] for k in params},
         epoch=ckpt.epoch + recipe.epochs,
         fingerprint=recipe_fingerprint(recipe),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ def test_load_rejects_corruption(tmp_path):
         path.write_bytes(with_index_entry(data, "w", **change))
         with pytest.raises(ValueError, match=f"w: .*{named}"):
             checkpoint.load_checkpoint(path)
+    # an index of the wrong JSON shape: a list, or tensors or meta not an object
+    index = json.loads(data[8:blob])
+    for shaped, named in (([index], "index must be a JSON object, not list"),
+                          ({**index, "tensors": []}, "'tensors' must be a JSON object"),
+                          ({**index, "meta": []}, "'meta' must be a JSON object")):
+        path.write_bytes(with_index(data, shaped))
+        with pytest.raises(ValueError, match=named):
+            checkpoint.load_checkpoint(path)
+
+
+def with_index(data: bytes, index) -> bytes:
+    """Checkpoint bytes with ``index`` in place of their own, blobs unchanged."""
+    raw = json.dumps(index).encode()
+    return struct.pack("<Q", len(raw)) + raw + data[8 + struct.unpack("<Q", data[:8])[0]:]
 
 
 def with_index_entry(data: bytes, name: str, **change) -> bytes:
@@ -154,11 +169,63 @@ def test_training_checkpoint_round_trip(tmp_path):
     assert back.fingerprint == ckpt.fingerprint
     # JSON returns lists where the dataclass had tuples; parse to compare
     assert config_from_dict(back.model_config) == config_from_dict(ckpt.model_config)
-    for group in ("state", "opt_state", "ema"):
+    for group in ("state", "ema"):
         a, b = getattr(ckpt, group), getattr(back, group)
         assert sorted(a) == sorted(b)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name]), (group, name)
+
+
+def test_training_checkpoint_holds_only_state_and_average(tmp_path):
+    # The RMSProp state stays inside train_loop: no field, no file entry.
+    assert [f.name for f in fields(train.Checkpoint)] == [
+        "state", "ema", "epoch", "fingerprint", "model_config"]
+    ckpt = _trained_checkpoint()
+    path = tmp_path / "train.bin"
+    ckpt.save(path)
+    data = path.read_bytes()
+    index = json.loads(data[8 : 8 + struct.unpack("<Q", data[:8])[0]])
+    assert sorted(index["tensors"]) == sorted(
+        [f"state/{name}" for name in ckpt.state] + [f"ema/{name}" for name in ckpt.ema])
+
+
+def test_a_file_with_optimizer_state_loads_and_fine_tunes_the_same(tmp_path):
+    # Files written before the format dropped the optimizer state hold it
+    # under opt/; those entries are read and dropped.
+    ckpt = _trained_checkpoint()
+    ckpt.save(tmp_path / "new.bin")
+    arrays = {f"state/{name}": arr for name, arr in ckpt.state.items()}
+    arrays.update({f"ema/{name}": arr for name, arr in ckpt.ema.items()})
+    opt = train.init_rmsprop_state(ckpt.ema)
+    assert {name.split("/")[0] for name in opt} == {"acc", "vel"}
+    arrays.update({f"opt/{name}": arr + 0.5 for name, arr in opt.items()})
+    meta = {"epoch": ckpt.epoch, "fingerprint": ckpt.fingerprint,
+            "model_config": ckpt.model_config}
+    checkpoint.save_checkpoint(tmp_path / "old.bin", arrays, meta)
+    x, y = blob_dataset(16, size=32, classes=2, seed=3)
+    recipe = train.FinetuneRecipe(scope="last-2", epochs=2, batch=8)
+    tuned = []
+    for name in ("old.bin", "new.bin"):
+        back = train.Checkpoint.load(tmp_path / name)
+        assert sorted(back.state) == sorted(ckpt.state) and sorted(back.ema) == sorted(ckpt.ema)
+        result = train.finetune(back.build_model(), back, recipe, as_batches(x, y, 8))
+        result.save(tmp_path / f"ft_{name}")
+        tuned.append((tmp_path / f"ft_{name}").read_bytes())
+    assert tuned[0] == tuned[1]
+    # Any other group is still refused.
+    arrays["adam/m"] = np.zeros(2)
+    checkpoint.save_checkpoint(tmp_path / "other.bin", arrays, meta)
+    with pytest.raises(ValueError, match="unknown checkpoint entry 'adam/m'"):
+        train.Checkpoint.load(tmp_path / "other.bin")
+
+
+@pytest.mark.parametrize("key", ["epoch", "fingerprint"])
+def test_checkpoint_load_names_a_missing_meta_key(key, tmp_path):
+    meta = {"epoch": 1, "fingerprint": "0" * 64}
+    del meta[key]
+    checkpoint.save_checkpoint(tmp_path / "ckpt.bin", {"state/w": np.ones(2)}, meta)
+    with pytest.raises(ValueError, match=f"meta has no '{key}'"):
+        train.Checkpoint.load(tmp_path / "ckpt.bin")
 
 
 def test_checkpoint_rebuilds_a_working_model(tmp_path):

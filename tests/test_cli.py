@@ -15,7 +15,7 @@ from effkit.model import ModelConfig, count_cost
 from effkit.norms import NormSpec
 from effkit.train import Checkpoint
 
-from test_checkpoint import with_index_entry
+from test_checkpoint import with_index, with_index_entry
 
 
 def run(argv, capsys):
@@ -608,6 +608,22 @@ def test_train_divergence_exits_3_without_checkpoint(tmp_path, capsys):
     assert len((out / "train_log.csv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--lr", "--lr0"])
+def test_non_finite_learning_rate_exits_2(flag, value, train_run, tmp_path, capsys):
+    # A usage error, not a divergence: nothing is trained and nothing written.
+    out = tmp_path / "run"
+    if flag == "--lr":
+        argv = ["train", "--steps", "1", "--samples", "8"]
+    else:
+        argv = ["finetune", "--checkpoint", str(train_run / "checkpoint.bin"),
+                "--samples", "8", "--batch", "8", "--epochs", "1"]
+    rc, _, stderr = run([*argv, flag, value, "--out", str(out)], capsys)
+    assert rc == 2
+    assert "base_lr must be finite and positive" in stderr or "invalid fine-tune recipe" in stderr
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- finetune
 
 def test_finetune_requires_checkpoint(tmp_path, capsys):
@@ -675,6 +691,34 @@ def test_finetune_malformed_checkpoint_index_exits_2(train_run, tmp_path, capsys
     assert rc == 2
     assert stderr.startswith(f"error: {name}: ")
     assert "past the end of the file" in stderr and "Traceback" not in stderr
+
+
+# part -> the index with that part of the wrong JSON shape, and the text
+# the error must name
+MISSHAPEN = {
+    "index": (lambda index: [index], "checkpoint index must be a JSON object, not list"),
+    "tensors": (lambda index: {**index, "tensors": []}, "'tensors' must be a JSON object"),
+    "meta": (lambda index: {**index, "meta": []}, "'meta' must be a JSON object"),
+    "epoch": (lambda index: {**index, "meta": {k: v for k, v in index["meta"].items()
+                                              if k != "epoch"}}, "meta has no 'epoch'"),
+}
+
+
+@pytest.mark.parametrize("part", list(MISSHAPEN))
+def test_finetune_misshapen_checkpoint_index_exits_2(part, train_run, tmp_path, capsys):
+    data = (train_run / "checkpoint.bin").read_bytes()
+    index = json.loads(data[8 : 8 + int.from_bytes(data[:8], "little")])
+    change, named = MISSHAPEN[part]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(with_index(data, change(index)))
+    rc, _, stderr = run(
+        ["finetune", "--checkpoint", str(path), "--samples", "8", "--batch", "8",
+         "--epochs", "1", "--out", str(tmp_path / "ft")],
+        capsys,
+    )
+    assert rc == 2
+    assert named in stderr and "Traceback" not in stderr
+    assert not (tmp_path / "ft").exists()
 
 
 # ---------------------------------------------------------------- verify
