@@ -3,18 +3,22 @@
 Each case trains with ``train_loop`` (parameters, batch-norm buffers and
 weight average), fine-tunes the result with ``finetune`` and evaluates the
 fine-tuned model; the line holds the first 16 hex digits of the SHA-256 of
-each. Two source trees compute bit-identical results exactly when this
-script prints the same lines under both:
+each. The train and fine-tune digests are taken of the checkpoints as
+saved and read back by ``Checkpoint.load``, so two source trees compute,
+write and read back bit-identical results exactly when this script prints
+the same lines under both:
 
     PYTHONPATH=src python benchmarks/state_digest.py
 """
 
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 
-from effkit import FinetuneRecipe, ModelConfig, NormSpec, TrainRecipe, build_model, finetune
-from effkit import make_rng, train_loop
+from effkit import Checkpoint, FinetuneRecipe, ModelConfig, NormSpec, TrainRecipe, build_model
+from effkit import finetune, make_rng, train_loop
 from effkit.data import as_batches, blob_dataset
 
 
@@ -52,6 +56,11 @@ def run_case(config, resolution, samples, batch, scope) -> str:
     ckpt = train_loop(model, batches, TrainRecipe(global_batch=batch, epochs=2), seed=3)
     tuned = finetune(model, ckpt, FinetuneRecipe(scope=scope, batch=batch), batches)
     logits = model.forward(x, train=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt.save(os.path.join(tmp, "train.bin"))
+        tuned.save(os.path.join(tmp, "finetune.bin"))
+        ckpt = Checkpoint.load(os.path.join(tmp, "train.bin"))
+        tuned = Checkpoint.load(os.path.join(tmp, "finetune.bin"))
     return (f"train {digest(ckpt.state, ckpt.ema)}  "
             f"finetune {digest(tuned.state, tuned.ema)}  eval {digest({'logits': logits})}")
 

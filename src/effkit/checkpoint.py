@@ -5,16 +5,21 @@ Layout, all integers little-endian uint64:
 - the byte length of a UTF-8 JSON index, then the index. It maps each
   tensor name to its ``offset`` (from the end of the index), ``shape`` and
   ``dtype`` (always ``"f64"``), and carries a free-form ``meta`` object;
-- per tensor, in sorted name order: its rank, its extents, then its
-  row-major ``<f8`` payload, ``8 * (1 + ndim + size)`` bytes in all.
+- one blob per distinct array object (by identity, not by shared memory or
+  equal contents), in the sorted order of each object's first name: its
+  rank, its extents, then its row-major ``<f8`` payload,
+  ``8 * (1 + ndim + size)`` bytes in all. Every name of one object shares
+  its blob's offset, so arrays that are all distinct give one blob each.
 
 Other float dtypes are widened to float64 on save (losslessly for
-float32). Writes go to a temporary file in the target directory followed
-by an atomic rename. Loading checks that the index, its ``tensors`` and its
-``meta`` are JSON objects, then each index entry (a non-negative integer
-offset and extents, dtype ``"f64"``, a blob that ends inside the file)
-before it allocates anything, then each blob's header against the index,
-and reads each payload straight into a fresh writeable float64 array.
+float32), once per object. Writes go to a temporary file in the target
+directory followed by an atomic rename. Loading checks that the index, its
+``tensors`` and its ``meta`` are JSON objects, then each index entry (a
+non-negative integer offset and extents, dtype ``"f64"``, a blob that ends
+inside the file) before it allocates anything, then the blob's header
+against that entry's own shape, so names that share an offset must share a
+shape. It reads each offset's payload once, straight into a fresh writeable
+float64 array, and returns that one array for every name at the offset.
 """
 
 from __future__ import annotations
@@ -33,17 +38,21 @@ def _header(shape: tuple[int, ...]) -> bytes:
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    # One blob per distinct array object, keyed by identity (``arrays`` holds
+    # every object alive meanwhile), placed at its first name in sorted order.
     # np.array keeps 0-d arrays 0-d (ascontiguousarray would lift them to 1-d)
     # and copies only what is not already C-ordered little-endian float64.
-    tensors = {
-        name: np.array(arrays[name], dtype="<f8", order="C", copy=None)
-        for name in sorted(arrays)
-    }
+    blobs = {}
     index_tensors = {}
     offset = 0
-    for name, arr in tensors.items():
-        index_tensors[name] = {"offset": offset, "shape": list(arr.shape), "dtype": "f64"}
-        offset += 8 * (1 + arr.ndim + arr.size)
+    for name in sorted(arrays):
+        key = id(arrays[name])
+        if key not in blobs:
+            arr = np.array(arrays[name], dtype="<f8", order="C", copy=None)
+            blobs[key] = (offset, arr)
+            offset += 8 * (1 + arr.ndim + arr.size)
+        at, arr = blobs[key]
+        index_tensors[name] = {"offset": at, "shape": list(arr.shape), "dtype": "f64"}
     index = {"meta": meta or {}, "tensors": index_tensors}
     index_bytes = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
 
@@ -54,7 +63,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         with os.fdopen(fd, "wb") as fh:
             fh.write(struct.pack("<Q", len(index_bytes)))
             fh.write(index_bytes)
-            for arr in tensors.values():
+            for _, arr in blobs.values():
                 fh.write(_header(arr.shape))
                 fh.write(arr)
         os.replace(tmp, path)
@@ -98,15 +107,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise ValueError(f"checkpoint index {part!r} must be a JSON object, "
                                  f"not {type(index.get(part)).__name__}")
         base = fh.tell()
-        arrays = {}
+        arrays, read = {}, {}
         for name, entry in index["tensors"].items():
             shape = _entry_shape(name, entry, size - base)
-            fh.seek(base + entry["offset"])
+            offset = entry["offset"]
+            fh.seek(base + offset)
             header = _header(shape)
             if fh.read(len(header)) != header:
                 raise ValueError(f"{name}: blob header does not match index shape {list(shape)}")
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
-                raise ValueError(f"{name}: truncated tensor payload")
-            arrays[name] = arr
+            if offset not in read:
+                arr = read[offset] = np.empty(shape, dtype="<f8")
+                if fh.readinto(arr) != arr.nbytes:
+                    raise ValueError(f"{name}: truncated tensor payload")
+            arrays[name] = read[offset]
     return arrays, index["meta"]

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -320,13 +320,16 @@ class Checkpoint:
     (``ema``), what a fine-tune reads back; a run's optimizer state is not
     kept. The groups may share arrays: a fine-tune keeps no average, so its
     ``ema`` maps each parameter name to the very array ``state`` holds under
-    it. Treat a checkpoint's arrays as read-only."""
+    it. ``save`` writes a shared array once and ``load`` reads it back as one
+    array, so a reloaded fine-tune shares them too. ``load`` requires the
+    meta's ``epoch`` to be a non-negative int, its ``fingerprint`` a str and
+    its ``model_config`` a dict. Treat a checkpoint's arrays as read-only."""
 
     state: dict[str, np.ndarray]  # parameters plus buffers
     ema: dict[str, np.ndarray]
     epoch: int
     fingerprint: str
-    model_config: dict = field(default_factory=dict)
+    model_config: dict
 
     def save(self, path) -> None:
         arrays = {}
@@ -342,9 +345,14 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         arrays, meta = load_checkpoint(path)
-        for key in ("epoch", "fingerprint"):
+        for key, kind, named in (("epoch", int, "a non-negative int"),
+                                 ("fingerprint", str, "a str"),
+                                 ("model_config", dict, "a dict")):
             if key not in meta:
                 raise ValueError(f"checkpoint meta has no {key!r} entry")
+            # type() is, not isinstance(): a JSON true is a bool, not an epoch
+            if type(meta[key]) is not kind or (kind is int and meta[key] < 0):
+                raise ValueError(f"checkpoint meta {key!r} must be {named}, not {meta[key]!r}")
         groups = {"state": {}, "ema": {}}
         for name, arr in arrays.items():
             prefix, _, rest = name.partition("/")
@@ -356,9 +364,9 @@ class Checkpoint:
         return cls(
             state=groups["state"],
             ema=groups["ema"],
-            epoch=int(meta["epoch"]),
+            epoch=meta["epoch"],
             fingerprint=meta["fingerprint"],
-            model_config=meta.get("model_config", {}),
+            model_config=meta["model_config"],
         )
 
     def build_model(self, rng: np.random.Generator | None = None) -> EfficientNet:

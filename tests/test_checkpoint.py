@@ -17,16 +17,21 @@ from effkit.tensor import make_rng
 
 def test_save_load_round_trip(tmp_path):
     rng = make_rng(0)
+    f32 = np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4)
     arrays = {
         "a/weight": rng.normal(size=(4, 2, 3, 3)),
         "b/bias": rng.normal(size=(7,)),
         "scalar": np.array(2.5),
-        "f32": np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4),
+        "f32": f32,
+        "f32/again": f32,  # one object under two names: one blob, one array
         "transposed": rng.normal(size=(3, 5)).T,
         "empty": np.zeros((0, 3)),
     }
     path = tmp_path / "ckpt.bin"
     checkpoint.save_checkpoint(path, arrays, meta={"epoch": 3, "note": "x"})
+    offsets = {name: entry["offset"] for name, entry in _index(path.read_bytes())["tensors"].items()}
+    assert offsets["f32"] == offsets["f32/again"]
+    assert len(set(offsets.values())) == len(arrays) - 1
     back, meta = checkpoint.load_checkpoint(path)
     assert meta == {"epoch": 3, "note": "x"}
     assert sorted(back) == sorted(arrays)
@@ -36,6 +41,12 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(back[name], arr.astype(np.float64))
         assert back[name].dtype == np.float64
         assert back[name].flags.writeable, name
+    assert back["f32"] is back["f32/again"]
+
+
+def _index(data: bytes) -> dict:
+    """The JSON index of checkpoint bytes."""
+    return json.loads(data[8 : 8 + struct.unpack("<Q", data[:8])[0]])
 
 
 def _fixed_arrays():
@@ -89,6 +100,14 @@ def test_load_rejects_corruption(tmp_path):
         (tmp_path / "bad.bin").write_bytes(bad)
         with pytest.raises(ValueError, match="w: blob .* index"):
             checkpoint.load_checkpoint(tmp_path / "bad.bin")
+    # a second name at w's offset with another shape, of the same or another
+    # rank: each entry's header is checked, not only the first at an offset
+    index = _index(data)
+    for shape in ([2, 8], [16]):
+        shared = {**index["tensors"], "x": {**index["tensors"]["w"], "shape": shape}}
+        (tmp_path / "bad.bin").write_bytes(with_index(data, {**index, "tensors": shared}))
+        with pytest.raises(ValueError, match="x: blob .* index"):
+            checkpoint.load_checkpoint(tmp_path / "bad.bin")
     # a malformed index is refused before anything is allocated: a negative
     # or fractional extent, a blob larger than the file (8 TiB), another dtype
     for change, named in (({"shape": [-4, 4]}, "non-negative integers"),
@@ -101,7 +120,6 @@ def test_load_rejects_corruption(tmp_path):
         with pytest.raises(ValueError, match=f"w: .*{named}"):
             checkpoint.load_checkpoint(path)
     # an index of the wrong JSON shape: a list, or tensors or meta not an object
-    index = json.loads(data[8:blob])
     for shaped, named in (([index], "index must be a JSON object, not list"),
                           ({**index, "tensors": []}, "'tensors' must be a JSON object"),
                           ({**index, "meta": []}, "'meta' must be a JSON object")):
@@ -183,10 +201,12 @@ def test_training_checkpoint_holds_only_state_and_average(tmp_path):
     ckpt = _trained_checkpoint()
     path = tmp_path / "train.bin"
     ckpt.save(path)
-    data = path.read_bytes()
-    index = json.loads(data[8 : 8 + struct.unpack("<Q", data[:8])[0]])
+    index = _index(path.read_bytes())
     assert sorted(index["tensors"]) == sorted(
         [f"state/{name}" for name in ckpt.state] + [f"ema/{name}" for name in ckpt.ema])
+    # train_loop's average is its own arrays, so no two entries share a blob
+    offsets = [entry["offset"] for entry in index["tensors"].values()]
+    assert len(set(offsets)) == len(offsets)
 
 
 def test_a_file_with_optimizer_state_loads_and_fine_tunes_the_same(tmp_path):
@@ -219,12 +239,24 @@ def test_a_file_with_optimizer_state_loads_and_fine_tunes_the_same(tmp_path):
         train.Checkpoint.load(tmp_path / "other.bin")
 
 
-@pytest.mark.parametrize("key", ["epoch", "fingerprint"])
+@pytest.mark.parametrize("key", ["epoch", "fingerprint", "model_config"])
 def test_checkpoint_load_names_a_missing_meta_key(key, tmp_path):
-    meta = {"epoch": 1, "fingerprint": "0" * 64}
+    meta = {"epoch": 1, "fingerprint": "0" * 64, "model_config": {}}
     del meta[key]
     checkpoint.save_checkpoint(tmp_path / "ckpt.bin", {"state/w": np.ones(2)}, meta)
     with pytest.raises(ValueError, match=f"meta has no '{key}'"):
+        train.Checkpoint.load(tmp_path / "ckpt.bin")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epoch", [1]), ("epoch", 2.7), ("epoch", True), ("epoch", -1),
+    ("fingerprint", 7), ("model_config", ["tiny"]),
+], ids=["epoch-list", "epoch-float", "epoch-bool", "epoch-negative", "fingerprint-int",
+        "model_config-list"])
+def test_checkpoint_load_refuses_meta_of_the_wrong_type(key, value, tmp_path):
+    meta = {"epoch": 1, "fingerprint": "0" * 64, "model_config": {}, key: value}
+    checkpoint.save_checkpoint(tmp_path / "ckpt.bin", {"state/w": np.ones(2)}, meta)
+    with pytest.raises(ValueError, match=f"meta '{key}' must be "):
         train.Checkpoint.load(tmp_path / "ckpt.bin")
 
 

@@ -701,6 +701,8 @@ MISSHAPEN = {
     "meta": (lambda index: {**index, "meta": []}, "'meta' must be a JSON object"),
     "epoch": (lambda index: {**index, "meta": {k: v for k, v in index["meta"].items()
                                               if k != "epoch"}}, "meta has no 'epoch'"),
+    "epoch-type": (lambda index: {**index, "meta": {**index["meta"], "epoch": [1]}},
+                   "meta 'epoch' must be a non-negative int, not [1]"),
 }
 
 

@@ -1,5 +1,6 @@
 """Optimizer arithmetic, schedules, losses, augmentation, and the loops."""
 
+import json
 import math
 import os
 import subprocess
@@ -595,7 +596,8 @@ def test_finetune_refuses_an_average_that_lacks_a_parameter():
 
 def test_finetune_result_shares_its_average_with_its_state(tmp_path):
     # One closing copy: a fine-tune keeps no average, so each ema entry is
-    # the state's own array, and the saved file holds both groups.
+    # the state's own array. The saved file holds that array once, under both
+    # names, and reads it back as one array.
     net, batches = tiny_setup(seed=18)
     ckpt = train.train_loop(net, batches, train.TrainRecipe(global_batch=8), seed=0,
                             max_steps=1)
@@ -606,10 +608,14 @@ def test_finetune_result_shares_its_average_with_its_state(tmp_path):
         assert result.ema[name] is result.state[name], name
         assert result.state[name] is not params[name], name
     result.save(tmp_path / "ft.bin")
+    data = (tmp_path / "ft.bin").read_bytes()
+    index = json.loads(data[8 : 8 + int.from_bytes(data[:8], "little")])["tensors"]
     back = train.Checkpoint.load(tmp_path / "ft.bin")
     assert set(back.ema) == set(params)
     for name in params:
-        assert np.array_equal(back.ema[name], back.state[name]), name
+        assert index[f"ema/{name}"]["offset"] == index[f"state/{name}"]["offset"], name
+        assert back.ema[name] is back.state[name], name
+        np.testing.assert_array_equal(back.state[name], result.state[name])
 
 
 # Three downsampling blocks, so that last-2 and last-3 begin inside the
