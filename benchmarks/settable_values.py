@@ -1,9 +1,10 @@
 """Count the settable values of the effkit package.
 
 A settable value is a parameter with a default (positional or keyword-only,
-lambdas included) or a dataclass field: each one is a setting a caller can
-change without the code saying so at the call site. The count is read from
-the syntax tree of every module in ``src/effkit``, so nothing is imported.
+lambdas included) or a dataclass field, each field of a config object
+counted with or without a default: dropping a field's default leaves the
+total as it was, dropping the field lowers it. The count is read from the
+syntax tree of every module in ``src/effkit``, so nothing is imported.
 It prints the defaulted-parameter, dataclass-field and total counts:
 
     python benchmarks/settable_values.py

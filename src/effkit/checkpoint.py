@@ -1,4 +1,5 @@
-"""Single-file checkpoint container; the only module that knows its layout.
+"""Single-file checkpoint container and the training ``Checkpoint`` it
+carries; the only module that knows its layout.
 
 Layout, all integers little-endian uint64:
 
@@ -20,6 +21,18 @@ inside the file) before it allocates anything, then the blob's header
 against that entry's own shape, so names that share an offset must share a
 shape. It reads each offset's payload once, straight into a fresh writeable
 float64 array, and returns that one array for every name at the offset.
+
+A ``Checkpoint`` file names its tensors ``state/<name>`` (parameters plus
+buffers) and ``ema/<name>`` (averaged parameters). Its meta holds
+``epoch`` (a non-negative int, not a bool), ``fingerprint`` (a str) and
+``model_config`` (a dict); ``Checkpoint.load`` raises ``ValueError`` naming
+the key when one is missing or of another type. Files written before the
+optimizer state left the format also hold ``opt/<name>`` entries, which
+``Checkpoint.load`` reads and drops; any other group is refused. The two
+groups may share arrays: a fine-tune keeps no average, so its ``ema`` maps
+each parameter name to the very array ``state`` holds under it. Such an
+array is written once and read back as one array, so a reloaded fine-tune
+shares them too.
 """
 
 from __future__ import annotations
@@ -29,8 +42,11 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
+
+from .model import EfficientNet, config_from_dict
 
 
 def _header(shape: tuple[int, ...]) -> bytes:
@@ -121,3 +137,66 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                     raise ValueError(f"{name}: truncated tensor payload")
             arrays[name] = read[offset]
     return arrays, index["meta"]
+
+
+@dataclass
+class Checkpoint:
+    """A run's state (parameters plus buffers) and averaged parameters
+    (``ema``), what a fine-tune reads back; a run's optimizer state is not
+    kept. Treat a checkpoint's arrays as read-only."""
+
+    state: dict[str, np.ndarray]  # parameters plus buffers
+    ema: dict[str, np.ndarray]
+    epoch: int
+    fingerprint: str
+    model_config: dict
+
+    def save(self, path) -> None:
+        arrays = {}
+        arrays.update({f"state/{k}": v for k, v in self.state.items()})
+        arrays.update({f"ema/{k}": v for k, v in self.ema.items()})
+        meta = {
+            "epoch": self.epoch,
+            "fingerprint": self.fingerprint,
+            "model_config": self.model_config,
+        }
+        save_checkpoint(path, arrays, meta)
+
+    @classmethod
+    def load(cls, path) -> "Checkpoint":
+        arrays, meta = load_checkpoint(path)
+        for key, valid, named in (
+            ("epoch", _is_count(meta.get("epoch")), "a non-negative int"),
+            ("fingerprint", isinstance(meta.get("fingerprint"), str), "a str"),
+            ("model_config", isinstance(meta.get("model_config"), dict), "a dict"),
+        ):
+            if key not in meta:
+                raise ValueError(f"checkpoint meta has no {key!r} entry")
+            if not valid:
+                raise ValueError(f"checkpoint meta {key!r} must be {named}, not {meta[key]!r}")
+        groups = {"state": {}, "ema": {}}
+        for name, arr in arrays.items():
+            prefix, _, rest = name.partition("/")
+            if prefix == "opt":
+                continue
+            if prefix not in groups:
+                raise ValueError(f"unknown checkpoint entry {name!r}")
+            groups[prefix][rest] = arr
+        return cls(
+            state=groups["state"],
+            ema=groups["ema"],
+            epoch=meta["epoch"],
+            fingerprint=meta["fingerprint"],
+            model_config=meta["model_config"],
+        )
+
+    def build_model(self, rng: np.random.Generator | None = None) -> EfficientNet:
+        """The model ``model_config`` describes, holding ``state``. Its layers
+        are allocated without drawing any weight (``EfficientNet(config,
+        None)``), and ``load_state`` then writes every entry; it raises
+        ``KeyError`` on a missing entry and ``ValueError`` on a wrong shape,
+        so no unloaded weight reaches the caller. ``rng`` is not read: a
+        generator passed here is left as it was."""
+        model = EfficientNet(config_from_dict(self.model_config), None)
+        model.load_state(self.state)
+        return model

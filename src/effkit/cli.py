@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
+from .checkpoint import Checkpoint
 from .data import as_batches, blob_dataset
 from .model import (
     ModelConfig,
@@ -38,7 +39,7 @@ from .resolution import (
     valid_test_resolutions,
 )
 from .tensor import make_rng
-from .train import FINETUNE_SCOPES, Checkpoint, FinetuneRecipe, TrainRecipe, finetune, train_loop
+from .train import FINETUNE_SCOPES, FinetuneRecipe, TrainRecipe, finetune, train_loop
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:

@@ -14,6 +14,14 @@ The numerator amortizes the stride once (f^2/s), exactly as the closed form
 is stated; conversion to bytes happens only through
 HardwareProfile.bytes_per_element. ``roofline`` evaluates it for every
 convolution of a ``model_plan``.
+
+The closed form counts k^2 G^2 N weights, which assumes a convolution keeps
+its width (C_out = C_in = G N). Pointwise convolutions that expand or
+project, and the stem, change it, so their ``roofline.csv`` ``flops`` and
+``elements`` differ from ``count_cost``'s. For b0 G=16 E=4 @224 at batch 8,
+``blocks/1/expand_conv`` (16 -> 64 channels) reads 3,211,264 FLOPs per
+sample here against 12,845,056 in ``cost.csv``, and
+``blocks/0/project_conv`` (32 -> 16) reads 12,845,056 against 6,422,528.
 """
 
 from __future__ import annotations

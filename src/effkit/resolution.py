@@ -72,10 +72,11 @@ def valid_test_resolutions(train_r: int, max_r: int = MAX_TEST_RESOLUTION) -> li
 
 
 def half_resolution(native_r: int) -> int:
-    """Training resolution with about half the native pixel count, keeping
-    the congruence class. Canonical sizes use the embedded table; other
-    sizes minimize |r^2 - native^2/2| over the congruence class, preferring
-    the smaller resolution on ties."""
+    """Training resolution with about half the native pixel count.
+    Canonical sizes use the embedded table, whose published 260 -> 192
+    pair is not congruent (260 - 192 = 68); other sizes minimize
+    |r^2 - native^2/2| over the congruence class, preferring the smaller
+    resolution on ties."""
     if native_r < 64:
         raise ValueError(f"native resolution must be at least 64, got {native_r}")
     if native_r in HALF_RESOLUTIONS:

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint
 from .layers import decay_param_names
-from .model import EfficientNet, ModelConfig, config_from_dict, config_to_dict
+from .model import EfficientNet, config_to_dict
 from .tensor import make_rng
 
 LR_EXPONENT = -14  # base_lr = B * 2^-14, and rmsprop_decay = 1 - B * 2^-14
@@ -251,16 +251,22 @@ def smoothed_targets(labels, num_classes: int, smoothing: float) -> np.ndarray:
     return (1.0 - smoothing) * dist + smoothing / num_classes
 
 
-def smoothed_cross_entropy(logits: np.ndarray, labels, smoothing: float) -> float:
+def _smoothed_losses_and_grad(logits: np.ndarray, labels, smoothing: float):
+    """Per-sample smoothed cross-entropy and d(mean loss)/d(logits) =
+    (softmax - smoothed targets) / batch, from one log-softmax."""
     target = smoothed_targets(labels, logits.shape[1], smoothing)
-    return float(-(target * _log_softmax(logits)).sum(axis=1).mean())
+    log_probs = _log_softmax(logits)
+    losses = -(target * log_probs).sum(axis=1)
+    return losses, (np.exp(log_probs) - target) / logits.shape[0]
+
+
+def smoothed_cross_entropy(logits: np.ndarray, labels, smoothing: float) -> float:
+    return float(_smoothed_losses_and_grad(logits, labels, smoothing)[0].mean())
 
 
 def smoothed_cross_entropy_grad(logits: np.ndarray, labels, smoothing: float) -> np.ndarray:
     """d(mean loss)/d(logits) = (softmax - smoothed targets) / batch."""
-    target = smoothed_targets(labels, logits.shape[1], smoothing)
-    probs = np.exp(_log_softmax(logits))
-    return (probs - target) / logits.shape[0]
+    return _smoothed_losses_and_grad(logits, labels, smoothing)[1]
 
 
 def mixup(x1, y1, x2, y2, lam: float):
@@ -310,78 +316,6 @@ def augment_batch(x, targets, rng: np.random.Generator, recipe: TrainRecipe):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Checkpoint:
-    """A run's state (parameters plus buffers) and averaged parameters
-    (``ema``), what a fine-tune reads back; a run's optimizer state is not
-    kept. The groups may share arrays: a fine-tune keeps no average, so its
-    ``ema`` maps each parameter name to the very array ``state`` holds under
-    it. ``save`` writes a shared array once and ``load`` reads it back as one
-    array, so a reloaded fine-tune shares them too. ``load`` requires the
-    meta's ``epoch`` to be a non-negative int, its ``fingerprint`` a str and
-    its ``model_config`` a dict. Treat a checkpoint's arrays as read-only."""
-
-    state: dict[str, np.ndarray]  # parameters plus buffers
-    ema: dict[str, np.ndarray]
-    epoch: int
-    fingerprint: str
-    model_config: dict
-
-    def save(self, path) -> None:
-        arrays = {}
-        arrays.update({f"state/{k}": v for k, v in self.state.items()})
-        arrays.update({f"ema/{k}": v for k, v in self.ema.items()})
-        meta = {
-            "epoch": self.epoch,
-            "fingerprint": self.fingerprint,
-            "model_config": self.model_config,
-        }
-        save_checkpoint(path, arrays, meta)
-
-    @classmethod
-    def load(cls, path) -> "Checkpoint":
-        arrays, meta = load_checkpoint(path)
-        for key, kind, named in (("epoch", int, "a non-negative int"),
-                                 ("fingerprint", str, "a str"),
-                                 ("model_config", dict, "a dict")):
-            if key not in meta:
-                raise ValueError(f"checkpoint meta has no {key!r} entry")
-            # type() is, not isinstance(): a JSON true is a bool, not an epoch
-            if type(meta[key]) is not kind or (kind is int and meta[key] < 0):
-                raise ValueError(f"checkpoint meta {key!r} must be {named}, not {meta[key]!r}")
-        groups = {"state": {}, "ema": {}}
-        for name, arr in arrays.items():
-            prefix, _, rest = name.partition("/")
-            if prefix == "opt":  # RMSProp state that older files hold; nothing reads it
-                continue
-            if prefix not in groups:
-                raise ValueError(f"unknown checkpoint entry {name!r}")
-            groups[prefix][rest] = arr
-        return cls(
-            state=groups["state"],
-            ema=groups["ema"],
-            epoch=meta["epoch"],
-            fingerprint=meta["fingerprint"],
-            model_config=meta["model_config"],
-        )
-
-    def build_model(self, rng: np.random.Generator | None = None) -> EfficientNet:
-        """The model ``model_config`` describes, holding ``state``. Its layers
-        are allocated without drawing any weight (``EfficientNet(config,
-        None)``), and ``load_state`` then writes every entry; it raises
-        ``KeyError`` on a missing entry and ``ValueError`` on a wrong shape,
-        so no unloaded weight reaches the caller. ``rng`` is not read: a
-        generator passed here is left as it was."""
-        model = EfficientNet(config_from_dict(self.model_config), None)
-        model.load_state(self.state)
-        return model
-
-
-# ---------------------------------------------------------------------------
 # Loops
 # ---------------------------------------------------------------------------
 
@@ -405,11 +339,10 @@ def _run_batch(model, x, targets, smoothing, micro_batch_size=None, first=0):
         xs = x[start : start + size]
         ts = targets[start : start + size]
         logits = model.forward(xs, train=True, start=first)
-        losses = -(smoothed_targets(ts, logits.shape[1], smoothing) * _log_softmax(logits)).sum(axis=1)
+        losses, dlogits = _smoothed_losses_and_grad(logits, ts, smoothing)
         loss_sum += float(losses.sum())
         correct += int((logits.argmax(axis=1) == ts.argmax(axis=1)).sum())
-        dlogits = smoothed_cross_entropy_grad(logits, ts, smoothing) * (xs.shape[0] / total)
-        model.backward(dlogits, stop=first, input_grad=False)
+        model.backward(dlogits * (xs.shape[0] / total), stop=first, input_grad=False)
     return loss_sum / total, correct / total
 
 

@@ -16,11 +16,16 @@ from .layers import Conv, Linear, NormAct, SqueezeExcite
 from .model import VARIANTS, ModelConfig, count_cost
 from .norms import QUAD_RULE, NormSpec, QuadratureRule, get_activation, normalize, pn_activation
 from .norms import proxy_moments
-from .resolution import HALF_RESOLUTIONS, half_resolution
+from .resolution import half_resolution
 from .tensor import make_rng
 
 REL_TOL = 1e-6
 FD_STEP = 1e-5
+
+#: native resolution -> the published half-resolution training choice,
+#: kept apart from ``resolution.HALF_RESOLUTIONS`` so the suite checks that
+#: table rather than reading it back.
+TABLE1 = {224: 160, 240: 176, 260: 192, 300: 204, 380: 252, 456: 328}
 
 #: (variant, G, E) -> (params in millions, FLOPs in billions). The 14
 #: reproducible published rows, G in {1, 4, 16}.
@@ -191,7 +196,7 @@ def suite_quadrature() -> tuple[bool, str]:
 
 
 def suite_table1() -> tuple[bool, str]:
-    for native, half in HALF_RESOLUTIONS.items():
+    for native, half in TABLE1.items():
         got = half_resolution(native)
         if got != half:
             return False, f"half_resolution({native}) = {got}, expected {half}"

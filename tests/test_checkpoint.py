@@ -293,3 +293,11 @@ def test_checkpoint_build_draws_nothing_and_holds_the_state_bit_for_bit():
     assert sorted(state) == sorted(ckpt.state)
     for name, arr in ckpt.state.items():
         assert state[name].tobytes() == arr.tobytes(), name
+
+
+def test_checkpoint_is_one_class_with_its_methods_in_its_own_body():
+    # perfbench's tracer patches vars(train.Checkpoint)["save"] and ["load"]: the name
+    # train re-exports must be the class itself, holding both in its body.
+    assert train.Checkpoint is checkpoint.Checkpoint
+    for name in ("save", "load", "build_model"):
+        assert name in vars(checkpoint.Checkpoint), name

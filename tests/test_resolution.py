@@ -2,7 +2,7 @@
 
 import pytest
 
-from effkit import resolution
+from effkit import resolution, verify
 from effkit.model import ModelConfig, model_plan, native_resolution
 from effkit.tensor import make_rng
 
@@ -134,6 +134,14 @@ def test_half_resolution_canonical_values():
     assert resolution.half_resolution(300) == 204
     assert resolution.half_resolution(380) == 252
     assert resolution.half_resolution(456) == 328
+
+
+def test_verify_half_resolution_suite_fails_on_a_wrong_table_entry(monkeypatch):
+    assert verify.suite_table1()[0]
+    monkeypatch.setitem(resolution.HALF_RESOLUTIONS, 260, 196)
+    passed, detail = verify.suite_table1()
+    assert not passed
+    assert detail == "half_resolution(260) = 196, expected 192"
 
 
 def test_half_resolution_pixel_ratio_examples():
