@@ -1,12 +1,13 @@
 """Print digests of the state that short train, fine-tune and eval runs leave.
 
 Each case trains with ``train_loop`` (parameters, batch-norm buffers and
-weight average), fine-tunes the result with ``finetune`` and evaluates the
-fine-tuned model; the line holds the first 16 hex digits of the SHA-256 of
-each. The train and fine-tune digests are taken of the checkpoints as
-saved and read back by ``Checkpoint.load``, so two source trees compute,
-write and read back bit-identical results exactly when this script prints
-the same lines under both:
+weight average) and saves the checkpoint. As ``effkit finetune`` does, it
+reads the file back, fine-tunes ``Checkpoint.build_model``'s model with
+``finetune`` and evaluates the fine-tuned model; the line holds the first
+16 hex digits of the SHA-256 of each. The train and fine-tune digests are
+taken of the checkpoints as saved and read back by ``Checkpoint.load``, so
+two source trees compute, write and read back bit-identical results
+exactly when this script prints the same lines under both:
 
     PYTHONPATH=src python benchmarks/state_digest.py
 """
@@ -52,15 +53,15 @@ def digest(*groups) -> str:
 def run_case(config, resolution, samples, batch, scope) -> str:
     x, y = blob_dataset(samples, size=resolution, classes=2, seed=1)
     batches = as_batches(x, y, batch)
-    model = build_model(config, make_rng(0))
-    ckpt = train_loop(model, batches, TrainRecipe(global_batch=batch, epochs=2), seed=3)
-    tuned = finetune(model, ckpt, FinetuneRecipe(scope=scope, batch=batch), batches)
-    logits = model.forward(x, train=False)
+    recipe = TrainRecipe(global_batch=batch, epochs=2)
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt.save(os.path.join(tmp, "train.bin"))
-        tuned.save(os.path.join(tmp, "finetune.bin"))
-        ckpt = Checkpoint.load(os.path.join(tmp, "train.bin"))
-        tuned = Checkpoint.load(os.path.join(tmp, "finetune.bin"))
+        train_path, tuned_path = os.path.join(tmp, "train.bin"), os.path.join(tmp, "finetune.bin")
+        train_loop(build_model(config, make_rng(0)), batches, recipe, seed=3).save(train_path)
+        ckpt = Checkpoint.load(train_path)
+        model = ckpt.build_model()
+        finetune(model, ckpt, FinetuneRecipe(scope=scope, batch=batch), batches).save(tuned_path)
+        tuned = Checkpoint.load(tuned_path)
+    logits = model.forward(x, train=False)
     return (f"train {digest(ckpt.state, ckpt.ema)}  "
             f"finetune {digest(tuned.state, tuned.ema)}  eval {digest({'logits': logits})}")
 

@@ -33,6 +33,11 @@ groups may share arrays: a fine-tune keeps no average, so its ``ema`` maps
 each parameter name to the very array ``state`` holds under it. Such an
 array is written once and read back as one array, so a reloaded fine-tune
 shares them too.
+
+``Checkpoint.from_model`` makes a run's checkpoint: it refuses non-finite
+values, copies the model's state once and, for a fine-tune, aliases each
+``ema`` entry to that copy. ``Checkpoint.load_average`` is the checked way
+to read the average back into a model.
 """
 
 from __future__ import annotations
@@ -42,11 +47,11 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import EfficientNet, config_from_dict
+from .model import EfficientNet, config_from_dict, config_to_dict
 
 
 def _header(shape: tuple[int, ...]) -> bytes:
@@ -143,13 +148,34 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 class Checkpoint:
     """A run's state (parameters plus buffers) and averaged parameters
     (``ema``), what a fine-tune reads back; a run's optimizer state is not
-    kept. Treat a checkpoint's arrays as read-only."""
+    kept. Treat a checkpoint's arrays as read-only. ``from_model`` makes one
+    at the end of a run, and ``load_average`` loads its average into a
+    model."""
 
     state: dict[str, np.ndarray]  # parameters plus buffers
     ema: dict[str, np.ndarray]
     epoch: int
     fingerprint: str
     model_config: dict
+
+    @classmethod
+    def from_model(cls, model: EfficientNet, epoch: int, fingerprint: str,
+                   ema: dict[str, np.ndarray] | None) -> "Checkpoint":
+        """The checkpoint of a finished run: one copy of ``model``'s state and
+        the average ``ema``. A fine-tune keeps no average and passes ``None``;
+        each parameter name of ``ema`` then maps to the copy's own array.
+        Raises ``FloatingPointError`` on a non-finite state or average entry,
+        which the last update can leave after a finite loss."""
+        final = model.state()
+        for group, arrays in (("state", final), ("average", ema or {})):
+            bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+            if bad:
+                raise FloatingPointError(f"{len(bad)} non-finite {group} entries after the "
+                                         f"last step, first {bad[0]!r}")
+        state = {k: v.copy() for k, v in final.items()}
+        if ema is None:
+            ema = {k: state[k] for k in model.params()}
+        return cls(state, ema, epoch, fingerprint, config_to_dict(model.config))
 
     def save(self, path) -> None:
         arrays = {}
@@ -200,3 +226,22 @@ class Checkpoint:
         model = EfficientNet(config_from_dict(self.model_config), None)
         model.load_state(self.state)
         return model
+
+    def load_average(self, model: EfficientNet) -> None:
+        """Load ``model`` once with the parameters of ``ema`` over the buffers
+        of ``state``. Raises ``ValueError`` when ``model_config`` describes
+        another model, and ``KeyError`` when ``ema`` does not name exactly the
+        model's parameters, so a missing average never falls back to the raw
+        weights."""
+        saved = config_from_dict(self.model_config)
+        if saved != model.config:
+            differ = [f.name for f in fields(saved)
+                      if getattr(saved, f.name) != getattr(model.config, f.name)]
+            raise ValueError(f"checkpoint was trained with another model config "
+                             f"(it differs in {differ})")
+        params = model.params()
+        if set(self.ema) != set(params):
+            missing, extra = sorted(set(params) - set(self.ema)), sorted(set(self.ema) - set(params))
+            raise KeyError(f"checkpoint average does not match the model's parameters: "
+                           f"missing {missing[:5]}, unknown {extra[:5]}")
+        model.load_state({**self.state, **self.ema})

@@ -15,6 +15,7 @@ or final state; no checkpoint is written).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -123,9 +124,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subs.choices
 
 
+# The JSON types a config value may take for an option of each ``type``.
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _config_value_fits(action: argparse.Action, value) -> bool:
+    """Whether a config-file value is one that ``action``'s flag parses to."""
+    if value is None:
+        return action.default is None
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return isinstance(value, bool)
+    if isinstance(action.nargs, int):
+        if not (isinstance(value, list) and len(value) == action.nargs):
+            return False
+    else:
+        value = [value]
+    return all(isinstance(v, _CONFIG_TYPES[action.type]) and not isinstance(v, bool)
+               and (action.choices is None or v in action.choices) for v in value)
+
+
 def resolve_options(argv) -> dict:
-    """flags > config file > defaults, rejecting unknown config keys; the
-    result holds the subcommand and every option's value."""
+    """flags > config file > defaults, rejecting unknown config keys and
+    values of another type than their flag parses to; the result holds the
+    subcommand and every option's value."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
@@ -137,6 +158,15 @@ def resolve_options(argv) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         raw.pop("subcommand", None)
+        # The subparser holds SUPPRESS copies of the global flags; the
+        # top-level parser holds their real defaults.
+        actions = {a.dest: a for a in parser._actions + subparsers[args.subcommand]._actions
+                   if a.default is not argparse.SUPPRESS}
+        for key, value in raw.items():
+            if not _config_value_fits(actions[key], value):
+                raise ValueError(f"config key {key!r} must hold what "
+                                 f"{actions[key].option_strings[0]} parses to, "
+                                 f"not {json.dumps(value)}")
         # The subcommands share one --out action, and set_defaults writes
         # into it: the file's out goes to the top-level parser only, or it
         # would beat a flag given before the subcommand.
@@ -152,12 +182,12 @@ def resolve_options(argv) -> dict:
 def model_config_from(eff: dict) -> ModelConfig:
     """The model of a count, roofline or train run. A field whose flag the
     subcommand does not take keeps the size's own default."""
-    size = str(eff["size"]).lower()
+    size = eff["size"].lower()
     over = {"group_size": eff["group_size"], "expansion": eff["expansion"]}
     if "classes" in eff:
         over["num_classes"] = eff["classes"]
     if "proxy" in eff:
-        over["proxy"] = bool(eff["proxy"])
+        over["proxy"] = eff["proxy"]
     if "norm" in eff:
         over["norm"] = NormSpec(eff["norm"], groups=eff["gn_groups"])
     if size == "tiny":
@@ -169,8 +199,8 @@ def model_config_from(eff: dict) -> ModelConfig:
 
 def _resolution_for(eff: dict) -> int:
     if eff["resolution"] is not None:
-        return int(eff["resolution"])
-    size = str(eff["size"]).lower()
+        return eff["resolution"]
+    size = eff["size"].lower()
     return 32 if size == "tiny" else native_resolution(size)
 
 
@@ -248,7 +278,7 @@ def cmd_train(eff: dict) -> int:
         global_batch=eff["batch"],
         epochs=eff["epochs"],
         base_lr=eff["lr"],
-        augment=bool(eff["augment"]),
+        augment=eff["augment"],
     )
     out = _prepare_out(eff)
     ckpt = train_loop(
@@ -261,11 +291,11 @@ def cmd_train(eff: dict) -> int:
         log_path=out / "train_log.csv",
     )
     ckpt.save(out / "checkpoint.bin")
-    last = (out / "train_log.csv").read_text().strip().splitlines()[-1]
-    epoch, step, lr, loss, acc = last.split(",")
+    with open(out / "train_log.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
     print(
-        f"trained {int(step) + 1} steps (epoch {epoch}); final loss {float(loss):.4f}, "
-        f"batch accuracy {float(acc):.3f}"
+        f"trained {int(last['step']) + 1} steps (epoch {last['epoch']}); "
+        f"final loss {float(last['loss']):.4f}, batch accuracy {float(last['train_acc']):.3f}"
     )
     print(f"wrote {out / 'checkpoint.bin'} and {out / 'train_log.csv'}")
     return 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .layers import decay_param_names
-from .model import EfficientNet, config_to_dict
+from .model import EfficientNet
 from .tensor import make_rng
 
 LR_EXPONENT = -14  # base_lr = B * 2^-14, and rmsprop_decay = 1 - B * 2^-14
@@ -354,13 +354,11 @@ def _check_loss(loss, step, log_path, log_rows) -> None:
         raise FloatingPointError(f"non-finite loss {loss} at step {step}")
 
 
-def _check_finite(group: str, arrays: dict[str, np.ndarray]) -> None:
-    """Refuse to checkpoint non-finite values: the last update can overflow
-    after a finite loss."""
-    bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
-    if bad:
-        raise FloatingPointError(f"{len(bad)} non-finite {group} entries after the last step, "
-                                 f"first {bad[0]!r}")
+def _check_batch(x, batch: int) -> None:
+    """Refuse a batch of another size than the recipe's, whose learning rate
+    and fingerprint would not describe the run."""
+    if x.shape[0] != batch:
+        raise ValueError(f"a batch of {x.shape[0]} samples, but the recipe's batch is {batch}")
 
 
 def train_loop(
@@ -382,11 +380,15 @@ def train_loop(
     norm batch-independent: batch norm's statistics would depend on the
     chunking.
 
-    The checkpoint holds the final state and the weight average; the
-    RMSProp state lives only while the loop runs.
+    Every batch must hold ``recipe.global_batch`` samples, or
+    ``ValueError`` is raised when the loop reaches it.
 
-    Raises ``FloatingPointError`` on a non-finite step loss or a non-finite
-    final state or average; the log up to that point is still written.
+    The checkpoint (``Checkpoint.from_model``) holds the final state and the
+    weight average; the RMSProp state lives only while the loop runs.
+
+    Raises ``FloatingPointError`` on a non-finite step loss, and
+    ``from_model`` on a non-finite final state or average; the log up to
+    that point is still written.
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
@@ -413,6 +415,7 @@ def train_loop(
     done = False
     for epoch in range(recipe.epochs):
         for x, y in data:
+            _check_batch(x, recipe.global_batch)
             lr = lr_at(recipe, step / steps_per_epoch)
             targets = _as_distribution(y, num_classes)
             if recipe.augment:
@@ -432,16 +435,8 @@ def train_loop(
             break
     if log_path is not None:
         _write_log(log_path, log_rows)
-    final = model.state()
-    for group, arrays in (("state", final), ("average", ema)):
-        _check_finite(group, arrays)
-    return Checkpoint(
-        state={k: v.copy() for k, v in final.items()},
-        ema=ema,
-        epoch=min(recipe.epochs, math.ceil(step / steps_per_epoch)),
-        fingerprint=recipe_fingerprint(recipe),
-        model_config=config_to_dict(model.config),
-    )
+    epoch = min(recipe.epochs, math.ceil(step / steps_per_epoch))
+    return Checkpoint.from_model(model, epoch, recipe_fingerprint(recipe), ema)
 
 
 def finetune(
@@ -455,12 +450,11 @@ def finetune(
     starting from the checkpoint's averaged weights. Parameters outside the
     scope are bit-identical afterwards.
 
-    The model is loaded once, with the parameters of ``ckpt.ema`` and the
-    buffers of ``ckpt.state``; ``ckpt.ema`` must name exactly the model's
-    parameters, or ``KeyError`` is raised, so a missing average never falls
-    back to the raw weights. The returned checkpoint copies the final state
-    once: a fine-tune keeps no average, so its ``ema`` maps each parameter
-    name to the same array as its ``state``.
+    The model is loaded once, by ``ckpt.load_average``, which refuses a
+    model of another config or an average that does not match its
+    parameters. Every batch must hold ``recipe.batch`` samples, or
+    ``ValueError`` is raised when the loop reaches it. The result is
+    ``Checkpoint.from_model`` with no average of its own.
 
     Only the scope is trained, so only the scope is computed every step.
     The frozen prefix (the children of ``model._order`` before
@@ -480,12 +474,8 @@ def finetune(
     data = list(data)
     if not data:
         raise ValueError("no fine-tuning batches")
+    ckpt.load_average(model)
     params = model.params()
-    if set(ckpt.ema) != set(params):
-        missing, extra = sorted(set(params) - set(ckpt.ema)), sorted(set(ckpt.ema) - set(params))
-        raise KeyError(f"checkpoint average does not match the model's parameters: "
-                       f"missing {missing[:5]}, unknown {extra[:5]}")
-    model.load_state({**ckpt.state, **ckpt.ema})
     first = model.scope_start(recipe.last_k)
     scoped = sorted(model.scope_param_names(recipe.last_k))
     grads = model.grads()  # backward accumulates into these arrays in place
@@ -497,6 +487,7 @@ def finetune(
     step = 0
     for epoch in range(recipe.epochs):
         for i, (x, y) in enumerate(data):
+            _check_batch(x, recipe.batch)
             lr = cosine_lr(step, total_steps, recipe.initial_lr)
             targets = _as_distribution(y, num_classes)
             if i not in prefix_out:
@@ -510,16 +501,8 @@ def finetune(
             step += 1
     if log_path is not None:
         _write_log(log_path, log_rows)
-    final = model.state()
-    _check_finite("state", final)
-    state = {k: v.copy() for k, v in final.items()}
-    return Checkpoint(
-        state=state,
-        ema={k: state[k] for k in params},
-        epoch=ckpt.epoch + recipe.epochs,
-        fingerprint=recipe_fingerprint(recipe),
-        model_config=config_to_dict(model.config),
-    )
+    return Checkpoint.from_model(model, ckpt.epoch + recipe.epochs,
+                                 recipe_fingerprint(recipe), ema=None)
 
 
 def _write_log(path, rows) -> None:

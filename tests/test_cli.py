@@ -273,6 +273,41 @@ def test_config_list_rejected(tmp_path, capsys):
     assert "JSON object" in stderr
 
 
+TRAIN_STEP = ["--samples", "32", "--steps", "1"]
+
+
+@pytest.mark.parametrize("sub, key, value", [
+    ("train", "proxy", "false"),  # was bool("false"), proxy on
+    ("train", "batch", 8.5),  # these three were TypeError tracebacks
+    ("train", "epochs", 1.0),
+    ("train", "seed", 1.5),
+    ("train", "steps", True),  # was one step
+    ("train", "norm", "xx"),
+    ("train", "out", None),
+    ("resolution", "check", [224, "256"]),
+])
+def test_config_value_of_another_type_than_its_flag_exits_2(sub, key, value, tmp_path, capsys):
+    config_path = tmp_path / "opts.json"
+    config_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "x"
+    flags = TRAIN_STEP if sub == "train" else []
+    rc, _, stderr = run([sub, "--config", str(config_path), *flags, "--out", str(out)], capsys)
+    assert rc == 2
+    assert stderr.startswith("error:") and repr(key) in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_config_value_may_be_an_int_for_a_float_flag(tmp_path, capsys):
+    config_path = tmp_path / "opts.json"
+    config_path.write_text(json.dumps({"lr": 1, "proxy": False, "steps": None}))
+    rc, _, _ = run(["train", "--config", str(config_path), *TRAIN_STEP,
+                    "--out", str(tmp_path / "x")], capsys)
+    assert rc == 0
+    cfg = read_config(tmp_path / "x")
+    assert (cfg["lr"], cfg["proxy"], cfg["steps"]) == (1, False, 1)
+
+
 def test_bad_flag_value_raises_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--norm", "bogus"])

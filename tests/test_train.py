@@ -521,6 +521,26 @@ def test_train_loop_rejects_max_steps_below_one(max_steps, tmp_path):
         np.testing.assert_array_equal(arr, before[name])
 
 
+def test_train_loop_rejects_a_batch_of_another_size_than_the_recipe():
+    # The recipe's batch sets the learning rate, the RMSProp decay and the
+    # fingerprint; a run over batches of 4 used to take batch 8's.
+    net, batches = tiny_setup(seed=16)
+    x, y = batches[0]
+    small = as_batches(x, y, 4)
+    with pytest.raises(ValueError, match="batch of 4 samples.*batch is 8"):
+        train.train_loop(net, small, train.TrainRecipe(global_batch=8), seed=0)
+    # Checked as the loop reaches each batch: a short last batch stops there.
+    with pytest.raises(ValueError, match="batch of 4 samples"):
+        train.train_loop(net, [batches[0], small[0]], train.TrainRecipe(global_batch=8), seed=0)
+
+
+def test_finetune_rejects_a_batch_of_another_size_than_the_recipe():
+    net, batches = tiny_setup(seed=16)
+    ckpt = train.train_loop(net, batches[:1], train.TrainRecipe(global_batch=8), seed=0)
+    with pytest.raises(ValueError, match="batch of 8 samples.*batch is 512"):
+        train.finetune(net, ckpt, train.FinetuneRecipe(), batches)
+
+
 def test_train_loop_rejects_empty_data():
     net, _ = tiny_setup(seed=16)
     recipe = train.TrainRecipe(global_batch=8)
@@ -592,6 +612,19 @@ def test_finetune_refuses_an_average_that_lacks_a_parameter():
     ft = train.FinetuneRecipe(scope="last-1", epochs=1, batch=8)
     with pytest.raises(KeyError, match="stem_conv/weight"):
         train.finetune(net, ckpt, ft, batches)
+
+
+def test_finetune_refuses_a_model_of_another_config():
+    # ln and gn weights have the same names and shapes, so only the config
+    # tells them apart; the fine-tune used to run and record gn.
+    net, batches = tiny_setup(seed=18, norm=NormSpec("ln"))
+    ckpt = train.train_loop(net, batches[:2], train.TrainRecipe(global_batch=8), seed=0)
+    other = build_model(ModelConfig.tiny(norm=NormSpec("gn")), make_rng(0))
+    before = {k: v.copy() for k, v in other.state().items()}
+    with pytest.raises(ValueError, match="norm"):
+        train.finetune(other, ckpt, train.FinetuneRecipe(batch=8), batches)
+    for name, arr in other.state().items():
+        assert np.array_equal(arr, before[name]), name
 
 
 def test_finetune_result_shares_its_average_with_its_state(tmp_path):
