@@ -1,128 +1,16 @@
 """effkit: grouped convolutions, proxy-normalized activations, and the
 supporting cost/roofline/resolution/training machinery, in float64 NumPy.
+
+The package root names the train and fine-tune workflow that ``effkit
+train``, ``effkit finetune`` and the benchmark drive: build a model, train
+it, then fine-tune its averaged weights. Every other name is imported from
+its module, as the README's library map lists.
 """
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .convs import ConvSpec, conv_backward, conv_forward, round_group_size
-from .layers import (
-    Conv,
-    GlobalAvgPool,
-    Layer,
-    Linear,
-    NormAct,
-    SqueezeExcite,
-    decay_param_names,
-)
-from .model import (
-    BASE_STAGES,
-    VARIANTS,
-    CostReport,
-    EfficientNet,
-    MBConv,
-    ModelConfig,
-    StageSpec,
-    block_dims,
-    build_model,
-    count_cost,
-    model_plan,
-    native_resolution,
-    round_channels,
-    round_repeats,
-)
-from .norms import (
-    ACTIVATIONS,
-    EPSILON,
-    EPSILON_TILDE,
-    NormSpec,
-    QuadratureRule,
-    normalize,
-    normalize_backward,
-    pn_activation,
-    pn_activation_backward,
-    proxy_moment_grads,
-    proxy_moments,
-    scaled_activation,
-    sigmoid,
-)
-from .perf import HardwareProfile, IntensityReport, intensity, monotonicity_check, roofline
-from .resolution import (
-    HALF_RESOLUTIONS,
-    congruent,
-    half_resolution,
-    parity_profile,
-    valid_test_resolutions,
-)
+from .checkpoint import Checkpoint
+from .model import ModelConfig, build_model
+from .norms import NormSpec
 from .tensor import make_rng
-from .train import (
-    FinetuneRecipe,
-    TrainRecipe,
-    ema_update,
-    finetune,
-    rmsprop_step,
-    smoothed_cross_entropy,
-    train_loop,
-)
+from .train import FinetuneRecipe, TrainRecipe, finetune, train_loop
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTIVATIONS",
-    "BASE_STAGES",
-    "Checkpoint",
-    "Conv",
-    "ConvSpec",
-    "CostReport",
-    "EPSILON",
-    "EPSILON_TILDE",
-    "EfficientNet",
-    "FinetuneRecipe",
-    "GlobalAvgPool",
-    "HALF_RESOLUTIONS",
-    "HardwareProfile",
-    "IntensityReport",
-    "Layer",
-    "Linear",
-    "MBConv",
-    "ModelConfig",
-    "NormAct",
-    "NormSpec",
-    "QuadratureRule",
-    "SqueezeExcite",
-    "StageSpec",
-    "TrainRecipe",
-    "VARIANTS",
-    "block_dims",
-    "build_model",
-    "congruent",
-    "conv_backward",
-    "conv_forward",
-    "count_cost",
-    "decay_param_names",
-    "ema_update",
-    "finetune",
-    "half_resolution",
-    "intensity",
-    "load_checkpoint",
-    "make_rng",
-    "model_plan",
-    "monotonicity_check",
-    "native_resolution",
-    "normalize",
-    "normalize_backward",
-    "parity_profile",
-    "pn_activation",
-    "pn_activation_backward",
-    "proxy_moment_grads",
-    "proxy_moments",
-    "rmsprop_step",
-    "roofline",
-    "round_channels",
-    "round_group_size",
-    "round_repeats",
-    "save_checkpoint",
-    "scaled_activation",
-    "sigmoid",
-    "smoothed_cross_entropy",
-    "train_loop",
-    "valid_test_resolutions",
-]

@@ -144,9 +144,10 @@ def _config_value_fits(action: argparse.Action, value) -> bool:
 
 
 def resolve_options(argv) -> dict:
-    """flags > config file > defaults, rejecting unknown config keys and
-    values of another type than their flag parses to; the result holds the
-    subcommand and every option's value."""
+    """flags > config file > defaults, rejecting unknown config keys, a file
+    whose "subcommand" is not the one being run, and values of another type
+    than their flag parses to; the result holds the subcommand and every
+    option's value."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
@@ -157,7 +158,10 @@ def resolve_options(argv) -> dict:
         unknown = sorted(set(raw) - (set(vars(args)) - {"config"}))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        raw.pop("subcommand", None)
+        subcommand = raw.pop("subcommand", args.subcommand)
+        if subcommand != args.subcommand:
+            raise ValueError(f"config file is for subcommand {json.dumps(subcommand)}, "
+                             f"not {args.subcommand!r}")
         # The subparser holds SUPPRESS copies of the global flags; the
         # top-level parser holds their real defaults.
         actions = {a.dest: a for a in parser._actions + subparsers[args.subcommand]._actions

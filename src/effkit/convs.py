@@ -105,8 +105,10 @@ class ConvSpec:
 def _padded(a: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
     """``a`` (B, C, H, W) zero-padded by (before, after) ``rows`` and ``cols``
     as a C-contiguous float64 array; ``a`` itself when it already is one and
-    needs no padding (every 1x1 convolution). Every convolution pads here,
-    the input for forward and weight gradient, dy for the input gradient."""
+    needs no padding (every 1x1 convolution). Every convolution pads here:
+    the input for forward and weight gradient, dy for the input gradient,
+    and the kernel (C_out, G, k, k) of the input gradient to s*ceil(k/s)
+    taps per axis."""
     (top, bottom), (left, right) = rows, cols
     if top == bottom == left == right == 0:
         return np.ascontiguousarray(a, dtype=np.float64)
@@ -178,8 +180,7 @@ def _transposed_weight(weight: np.ndarray, spec: ConvSpec) -> np.ndarray:
     k, s = spec.kernel, spec.stride
     t = -(-k // s)
     opg, g = spec.out_channels // spec.groups, spec.resolved_group_size
-    padded = np.zeros((spec.out_channels, g, s * t, s * t))
-    padded[:, :, :k, :k] = weight
+    padded = _padded(weight, (0, s * t - k), (0, s * t - k))
     # (groups, opg, G, T, s, T, s), taps flipped -> (groups, G, s, s, opg, T, T)
     split = padded.reshape(spec.groups, opg, g, t, s, t, s)[:, :, :, ::-1, :, ::-1, :]
     wt = split.transpose(0, 2, 4, 6, 1, 3, 5).reshape(spec.in_channels * s * s, opg, t, t)

@@ -328,8 +328,10 @@ def _run_batch(model, x, targets, smoothing, micro_batch_size=None, first=0):
     computing its input gradient, which nothing reads.
 
     With a micro-batch size the batch is processed in chunks whose loss
-    gradients are scaled by chunk/total so the accumulated gradients equal
-    the single large-batch pass exactly (batch-independent layers).
+    gradients are scaled by chunk/total. With batch-independent layers each
+    sample's forward output is bit-identical to the single large-batch
+    pass, and the accumulated gradients equal its gradients to rounding:
+    they are sums over samples, which the chunks add in another order.
     """
     total = x.shape[0]
     size = total if micro_batch_size is None else micro_batch_size

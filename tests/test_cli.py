@@ -273,6 +273,21 @@ def test_config_list_rejected(tmp_path, capsys):
     assert "JSON object" in stderr
 
 
+@pytest.mark.parametrize("sub, config", [
+    ("train", {"subcommand": "count", "seed": 3, "samples": 16, "steps": 1}),
+    ("count", {"subcommand": 5}),
+])
+def test_config_for_another_subcommand_exits_2(sub, config, tmp_path, capsys):
+    config_path = tmp_path / "opts.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    rc, _, stderr = run([sub, "--config", str(config_path), "--out", str(out)], capsys)
+    assert rc == 2
+    assert stderr.startswith("error:") and "subcommand" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
 TRAIN_STEP = ["--samples", "32", "--steps", "1"]
 
 

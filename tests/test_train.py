@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import effkit
-from effkit import train
+from effkit import checkpoint, model, norms, tensor, train
 from effkit.convs import ConvSpec, folds_batch_for_dw
 from effkit.data import as_batches, blob_dataset
 from effkit.layers import decay_param_names
@@ -443,7 +444,8 @@ def test_train_loop_writes_a_log(tmp_path):
 
 
 def test_micro_batch_accumulation_matches_full_batch():
-    # Batch-independent layers make chunked accumulation exact.
+    # Batch-independent layers make chunked accumulation equal to rounding:
+    # the chunks add the per-sample gradients in another order.
     recipe = train.TrainRecipe(global_batch=8, epochs=1)
     results = []
     for micro in (None, 4):
@@ -752,3 +754,17 @@ def test_train_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         outputs.append((out / "checkpoint.bin").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_package_root_names_the_workflow():
+    """The root re-exports the train-and-fine-tune workflow, and only it;
+    every other name is imported from its module."""
+    public = {n for n, v in vars(effkit).items()
+              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    homes = {"build_model": model, "ModelConfig": model, "NormSpec": norms,
+             "make_rng": tensor, "TrainRecipe": train, "train_loop": train,
+             "Checkpoint": checkpoint, "FinetuneRecipe": train, "finetune": train}
+    assert public == set(homes)
+    for name, module in homes.items():
+        assert getattr(effkit, name) is getattr(module, name), name
+    assert effkit.Checkpoint is checkpoint.Checkpoint is train.Checkpoint
