@@ -6,6 +6,20 @@ laid out (C_out, G, k, k). Every convolution is "same"-padded and, 1x1
 included, unrolls the padded input into columns (im2col, Chellapilla et
 al. 2006) and multiplies them with ``np.matmul`` stacked over (sample, group).
 
+The columns are filled and multiplied in blocks of (sample, group) pairs,
+in order, about ``BLOCK_BYTES`` (512 KB) at a time, so that a block is
+still in L2 when its GEMMs read it; the next block overwrites it. Where an
+output row has at most ``GATHER_WIDTH`` (8) positions, a block is one
+``np.take`` over a flat index of the padded field, cached per (Hp, Wp, k,
+s): a strided copy of such rows moves only 2 to 8 elements per inner loop
+and runs at loop speed, not copy speed. Wider rows are copied window by
+window from a strided view. A 1x1 convolution at stride 1 multiplies views
+of its input. Both constants come from timing every spatial convolution of
+b0 (``benchmarks/bench_convs.py --model``, ``BENCH_im2col.json``). Blocks
+change neither a column value nor a GEMM: every (sample, group) product
+has the operands and the shape it would have with all columns built at
+once, so every output bit is the same.
+
 The input gradient is itself one forward convolution, the transposed
 convolution of Dumoulin & Visin 2016 ("A guide to convolution
 arithmetic"): dy convolved with the flipped weights, C_in and C_out
@@ -18,7 +32,8 @@ of dx that lie inside the unpadded input are computed.
 The weight gradient picks its GEMM by shape. Where the output field is
 small (OH*OW <= 16) and each group has more than one output, the batch
 is folded into the products' inner axis; elsewhere there is one product
-per (sample, group), summed over samples.
+per (sample, group), block by block, added to a zero sum in sample order,
+as ``sum(axis=0)`` over the stacked products adds them.
 
 Per-sample results are bit-identical whatever batch a sample sits in. The
 rule that keeps them so: never fold the batch axis into a GEMM dimension.
@@ -26,7 +41,8 @@ BLAS may round one row or column of a product differently when the
 product's size changes, so ``x @ w`` over a flattened batch, or
 ``np.einsum(..., optimize=True)`` (which lowers to such a product), makes a
 sample's output depend on its batch. A ``matmul`` stacked over the batch
-runs one product per sample whose shape is fixed by the layer. The input
+runs one product per sample whose shape is fixed by the layer, and a block
+only decides which of those products run in one call. The input
 gradient, being a forward convolution, keeps the rule by construction.
 Only the weight gradient, a sum over the batch by definition, combines
 samples, and only it may fold the batch.
@@ -34,10 +50,16 @@ samples, and only it may fold the batch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
+
+# How im2col blocks are sized and filled; see the module docstring.
+GATHER_WIDTH = 8
+BLOCK_BYTES = 512 * 1024
+
 
 def round_group_size(requested: int, channels: int) -> int:
     """Nearest divisor of ``channels`` to ``requested``; ties go to the larger."""
@@ -120,13 +142,67 @@ def _padded(a: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.n
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _gather_index(hp: int, wp: int, k: int, s: int) -> np.ndarray:
+    """Positions in one channel's flattened (Hp, Wp) padded field of its
+    im2col entries, in column order (ky, kx, OH, OW)."""
+    ky, kx, i, j = np.ogrid[:k, :k, : (hp - k) // s + 1, : (wp - k) // s + 1]
+    index = ((i * s + ky) * wp + j * s + kx).ravel()
+    index.setflags(write=False)
+    return index
+
+
 def _columns(xp: np.ndarray, groups: int, k: int, s: int) -> np.ndarray:
-    """(B, groups, C/groups*k*k, OH*OW) im2col matrix of the padded input."""
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    b, c, oh, ow = win.shape[:4]
-    # (B, C, OH, OW, k, k) -> (B, C, k, k, OH, OW); the reshape copies.
-    cols = win.transpose(0, 1, 4, 5, 2, 3)
-    return cols.reshape(b, groups, c // groups * k * k, oh * ow)
+    """(B, groups, C/groups*k*k, OH*OW) im2col matrix of the padded,
+    C-contiguous input, gathered whole; the input itself for a 1x1
+    convolution at stride 1."""
+    b, c, hp, wp = xp.shape
+    cols = xp if k == s == 1 else np.take(
+        xp.reshape(b * c, hp * wp), _gather_index(hp, wp, k, s), axis=1, mode="clip"
+    )
+    return cols.reshape(b, groups, c // groups * k * k, -1)
+
+
+def _column_blocks(xp: np.ndarray, groups: int, k: int, s: int):
+    """Yields (samples, groups, columns) over the (sample, group) pairs of
+    the padded, C-contiguous input, in order: two slices and the (samples,
+    groups, C/groups*k*k, OH*OW) im2col matrix of those pairs, about
+    ``BLOCK_BYTES`` at a time. A block holds whole samples or part of one,
+    and each block overwrites the last one's columns. Narrow output rows
+    are gathered, wide ones copied window by window, and a 1x1 convolution
+    at stride 1 multiplies views of its input."""
+    b, c, hp, wp = xp.shape
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+    g, entries = c // groups, k * k * oh * ow
+    pairs = max(1, BLOCK_BYTES // (g * entries * xp.itemsize))
+    per_block, group_step = max(1, pairs // groups), min(pairs, groups)
+    copies = k * s > 1
+    narrow = copies and ow <= GATHER_WIDTH
+    if narrow:
+        src, index = xp.reshape(b, c, hp * wp), _gather_index(hp, wp, k, s)
+    else:
+        sb, sc, sh, sw = xp.strides
+        src = as_strided(xp, (b, c, k, k, oh, ow), (sb, sc, sh, sw, sh * s, sw * s),
+                         writeable=False)
+    buf = np.empty(min(per_block, b) * group_step * g * entries) if copies else None
+    for i in range(0, b, per_block):
+        samples = slice(i, min(i + per_block, b))
+        for g0 in range(0, groups, group_step):
+            block = slice(g0, min(g0 + group_step, groups))
+            part = src[samples, g0 * g : block.stop * g]
+            if narrow:
+                cols = buf[: part.shape[0] * part.shape[1] * entries]
+                # The index is in range by construction; "clip" lets take
+                # write into ``out`` without a buffered copy.
+                np.take(part, index, axis=2, out=cols.reshape(*part.shape[:2], -1), mode="clip")
+            elif copies:
+                cols = buf[: part.size].reshape(part.shape)
+                np.copyto(cols, part)
+            else:
+                cols = part
+            yield samples, block, cols.reshape(
+                samples.stop - i, block.stop - g0, g * k * k, oh * ow
+            )
 
 
 def _product(xp: np.ndarray, weight: np.ndarray, groups: int, s: int) -> np.ndarray:
@@ -135,8 +211,12 @@ def _product(xp: np.ndarray, weight: np.ndarray, groups: int, s: int) -> np.ndar
     per (sample, group), each of a shape that does not depend on B."""
     c_out, _, k, _ = weight.shape
     b, _, hp, wp = xp.shape
-    y = np.matmul(weight.reshape(groups, c_out // groups, -1), _columns(xp, groups, k, s))
-    return y.reshape(b, c_out, (hp - k) // s + 1, (wp - k) // s + 1)
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+    wg = weight.reshape(groups, c_out // groups, -1)
+    y = np.empty((b, groups, c_out // groups, oh * ow))
+    for samples, block, cols in _column_blocks(xp, groups, k, s):
+        np.matmul(wg[block], cols, out=y[samples, block])
+    return y.reshape(b, c_out, oh, ow)
 
 
 def conv_forward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
@@ -204,19 +284,22 @@ def _phase_span(spec: ConvSpec, size: int) -> tuple[int, int, int]:
 
 def _weight_grad(xp: np.ndarray, dy: np.ndarray, spec: ConvSpec) -> np.ndarray:
     b, _, oh, ow = dy.shape
-    groups, opg = spec.groups, spec.out_channels // spec.groups
-    cols = _columns(xp, groups, spec.kernel, spec.stride)
+    groups, opg, k, s = spec.groups, spec.out_channels // spec.groups, spec.kernel, spec.stride
     dg = dy.reshape(b, groups, opg, oh * ow)
     if folds_batch_for_dw(spec, oh * ow):
         # (groups, opg, B*OH*OW) @ (groups, B*OH*OW, G*k*k): the sum over
         # samples happens inside each product.
+        cols = _columns(xp, groups, k, s)
         dw = np.matmul(
             dg.transpose(1, 2, 0, 3).reshape(groups, opg, -1),
             cols.transpose(1, 0, 3, 2).reshape(groups, b * oh * ow, -1),
         )
     else:
-        # One product per (sample, group), then the sum over samples.
-        dw = np.matmul(dg, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+        # One product per (sample, group), summed over samples in order.
+        dw = np.zeros((groups, opg, spec.resolved_group_size * k * k))
+        for samples, block, cols in _column_blocks(xp, groups, k, s):
+            for product in np.matmul(dg[samples, block], cols.transpose(0, 1, 3, 2)):
+                dw[block] += product
     return dw.reshape(spec.weight_shape)
 
 

@@ -308,9 +308,6 @@ class EfficientNet(Layer):
         returns unless ``input_grad=False``."""
         return super().backward(dy, stop, input_grad=input_grad)
 
-    def num_params(self) -> int:
-        return sum(int(p.size) for p in self.params().values())
-
     def scope_start(self, last_k: int) -> int:
         """Index in ``_order`` of the first child trained when fine-tuning
         the last ``k`` segments; the scope is ``_order[scope_start(k):]``.

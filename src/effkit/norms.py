@@ -150,13 +150,6 @@ class QuadratureRule:
         x, w = np.polynomial.hermite.hermgauss(order)
         return cls(nodes=x * np.sqrt(2.0), weights=w / np.sqrt(np.pi))
 
-    def expect(self, fn: Callable[[np.ndarray], np.ndarray], mu, sigma) -> np.ndarray:
-        """E[fn(X)] for X ~ N(mu, sigma^2), broadcasting over leading axes."""
-        mu = np.asarray(mu, dtype=np.float64)
-        sigma = np.asarray(sigma, dtype=np.float64)
-        pts = mu[..., None] + sigma[..., None] * self.nodes
-        return fn(pts) @ self.weights
-
 
 #: The rule of every proxy-normalized activation, built once: ``NormAct``
 #: reads it rather than building one per layer.

@@ -17,8 +17,6 @@ resolution whose pixel count is nearest to half, ties toward the smaller.
 
 from __future__ import annotations
 
-from .model import ConvDims
-
 N_DOWNSAMPLES = 5
 #: the congruence modulus, and the smallest resolution the stride-2 layers admit
 MODULUS = 2**N_DOWNSAMPLES
@@ -50,15 +48,6 @@ def parity_profile(resolution: int) -> list[str]:
         out.append("even" if size % 2 == 0 else "odd")
         size = -(-size // 2)
     return out
-
-
-def plan_parity_profile(plan) -> list[str]:
-    """Parity profile read from an actual layer plan's stride-2 inputs."""
-    return [
-        "even" if entry.in_size % 2 == 0 else "odd"
-        for entry in plan
-        if isinstance(entry, ConvDims) and entry.stride == 2
-    ]
 
 
 def valid_test_resolutions(train_r: int, max_r: int = MAX_TEST_RESOLUTION) -> list[int]:

@@ -46,18 +46,6 @@ TABLE2 = {
     ("b5", 16, 4): (28.7, 13.4),
 }
 
-#: The published G in {32, 64} rows. These are internally inconsistent: the
-#: B0 param values match divisor-rounded group sizes exactly, B2's match a
-#: channel-padding scheme (or neither, at G=64), while all four FLOP values
-#: match padding the expanded width up to a multiple of G. No single
-#: architecture reproduces them, so they are documented rather than gated on.
-TABLE2_WIDE_GROUPS = {
-    ("b0", 32, 3): (6.2, 0.9),
-    ("b0", 64, 2): (6.7, 1.5),
-    ("b2", 32, 3): (10.3, 2.1),
-    ("b2", 64, 2): (9.9, 3.6),
-}
-
 
 def rel_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))

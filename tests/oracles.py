@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,45 @@ def naive_grouped_conv_backward(x, w, dy, stride, pad_top, pad_left, pad_bottom,
                     dxg[:, :, :, r, q] += np.einsum("bno,nog->bng", d, wg[:, :, :, ky, kx])
                     dwg[:, :, :, ky, kx] += np.einsum("bno,bng->nog", d, xg[:, :, :, r, q])
     return dxp[:, :, pad_top : pad_top + h, pad_left : pad_left + wid], dw
+
+
+def strided_columns(xp, groups, k, s):
+    """(B, groups, C/groups*k*k, OH*OW) im2col matrix of the padded input,
+    copied whole from its strided window view."""
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    b, c, oh, ow = win.shape[:4]
+    # (B, C, OH, OW, k, k) -> (B, C, k, k, OH, OW); the reshape copies.
+    cols = win.transpose(0, 1, 4, 5, 2, 3)
+    return cols.reshape(b, groups, c // groups * k * k, oh * ow)
+
+
+def im2col_product(xp, weight, groups, s):
+    """The convolution of a padded input as one ``matmul`` stacked over
+    (sample, group) of whole ``strided_columns``; a stand-in for
+    ``convs._product``, whose GEMMs it runs with the same operands."""
+    c_out, _, k, _ = weight.shape
+    b, _, hp, wp = xp.shape
+    y = np.matmul(weight.reshape(groups, c_out // groups, -1), strided_columns(xp, groups, k, s))
+    return y.reshape(b, c_out, (hp - k) // s + 1, (wp - k) // s + 1)
+
+
+def im2col_weight_grad(xp, dy, spec, fold):
+    """The weight gradient over whole ``strided_columns``; a stand-in for
+    ``convs._weight_grad``. With ``fold`` the batch is folded into each
+    group's product, otherwise the stacked (sample, group) products are
+    summed with ``sum(axis=0)``."""
+    b, _, oh, ow = dy.shape
+    groups, opg = spec.groups, spec.out_channels // spec.groups
+    cols = strided_columns(xp, groups, spec.kernel, spec.stride)
+    dg = dy.reshape(b, groups, opg, oh * ow)
+    if fold:
+        dw = np.matmul(
+            dg.transpose(1, 2, 0, 3).reshape(groups, opg, -1),
+            cols.transpose(1, 0, 3, 2).reshape(groups, b * oh * ow, -1),
+        )
+    else:
+        dw = np.matmul(dg, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+    return dw.reshape(spec.weight_shape)
 
 
 def conv_macs(x_shape, w_shape, stride, pads):
@@ -158,6 +198,15 @@ def gaussian_monomial(p):
     for k in range(p - 1, 0, -2):
         out *= k
     return out
+
+
+def quadrature_expect(rule, fn, mu, sigma):
+    """E[fn(X)] for X ~ N(mu, sigma^2) under a ``norms.QuadratureRule``,
+    broadcasting over leading axes."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    pts = mu[..., None] + sigma[..., None] * rule.nodes
+    return fn(pts) @ rule.weights
 
 
 def mc_activation_moments(act_fn, mu, sigma, n=10_000_000, seed=0):

@@ -10,7 +10,12 @@ from effkit import convs
 from effkit.tensor import make_rng
 from effkit.verify import fd_check
 
-from oracles import naive_grouped_conv, naive_grouped_conv_backward
+from oracles import (
+    im2col_product,
+    im2col_weight_grad,
+    naive_grouped_conv,
+    naive_grouped_conv_backward,
+)
 
 
 def oracle_conv(x, w, spec):
@@ -330,3 +335,74 @@ def test_forward_is_deterministic_and_per_sample_stable():
                     dxs, _ = convs.conv_backward(cs, dy[idx])
                     assert np.array_equal(ys, y[idx]), (name, "forward", case)
                     assert np.array_equal(dxs, dx[idx]), (name, "dx", case)
+
+
+def _strided_oracle(monkeypatch, x, w, spec, dy):
+    """(y, dx, dw) with every im2col matrix copied whole from the strided
+    window view and every product run in one stacked ``matmul``."""
+    def weight_grad(xp, dy, spec):
+        fold = convs.folds_batch_for_dw(spec, dy.shape[2] * dy.shape[3])
+        return im2col_weight_grad(xp, dy, spec, fold)
+
+    with monkeypatch.context() as m:
+        m.setattr(convs, "_product", im2col_product)
+        m.setattr(convs, "_weight_grad", weight_grad)
+        y, cache = convs.conv_forward(x, w, spec)
+        return (y, *convs.conv_backward(cache, dy))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_blocked_columns_keep_every_bit_and_stay_per_sample(monkeypatch):
+    # Gathered and blocked columns give y, dx and dw bit-identical to whole
+    # strided columns, and per-sample y and dx stay bit-identical under
+    # subset, permutation and duplication of the batch: on narrow and wide
+    # output rows, non-square fields, one block per call or several, and
+    # blocks of whole samples or of part of one. Dense layers stay small;
+    # at 144 or 1152 channels they would take too long here.
+    rng = make_rng(26)
+    kinds = {"depthwise": (8, 8, 1), "G=16": (32, 32, 16), "dense": (8, 12, None)}
+    fields = [(2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (4, 32), (32, 4)]
+    cases = [
+        (cin, cout, gs, k, s, field)
+        for (cin, cout, gs), k, s, field in itertools.product(
+            kinds.values(), (1, 3, 5), (1, 2), fields
+        )
+    ]
+    cases += [
+        (144, 144, 1, 3, 1, (32, 32)),
+        (144, 144, 16, 3, 2, (32, 32)),
+        (1152, 1152, 1, 5, 1, (2, 2)),
+        (1152, 1152, 16, 5, 1, (2, 2)),
+    ]
+    seen = set()
+    for cin, cout, gs, k, s, (h, w_) in cases:
+        spec = convs.ConvSpec(cin, cout, k, stride=s, group_size=gs)
+        b = int(rng.integers(1, 7))
+        case = (cin, cout, gs, k, s, h, w_, b)
+        x = rng.normal(size=(b, cin, h, w_))
+        w = rng.normal(size=spec.weight_shape)
+        y, cache = convs.conv_forward(x, w, spec)
+        dy = rng.normal(size=y.shape)
+        dx, dw = convs.conv_backward(cache, dy)
+        for name, got, ref in zip("y dx dw".split(), (y, dx, dw),
+                                  _strided_oracle(monkeypatch, x, w, spec, dy)):
+            assert _same_bits(got, ref), (name, case)
+        perm = rng.permutation(b)
+        for idx in (perm[: max(1, b // 2)], perm, np.repeat(perm, 2)[: b + 1]):
+            ys, cs = convs.conv_forward(x[idx], w, spec)
+            assert _same_bits(ys, y[idx]), ("y", idx, case)
+            assert _same_bits(convs.conv_backward(cs, dy[idx])[0], dx[idx]), ("dx", idx, case)
+        if k > 1:
+            xp = convs._padded(x, spec.pad_amounts(h), spec.pad_amounts(w_))
+            blocks = list(convs._column_blocks(xp, spec.groups, k, s))
+            seen.add("narrow" if y.shape[3] <= convs.GATHER_WIDTH else "wide")
+            seen.add("several blocks" if len(blocks) > b else "one block a sample")
+            if any(samples.stop - samples.start > 1 for samples, _, _ in blocks):
+                seen.add("whole samples")
+            if any(group.stop - group.start < spec.groups for _, group, _ in blocks):
+                seen.add("part of a sample")
+    assert seen == {"narrow", "wide", "several blocks", "one block a sample",
+                    "whole samples", "part of a sample"}

@@ -7,7 +7,7 @@ from effkit import layers, model, resolution
 from effkit.convs import ConvSpec
 from effkit.norms import NormSpec
 from effkit.tensor import make_rng
-from effkit.verify import TABLE2, TABLE2_WIDE_GROUPS, fd_check, within_published
+from effkit.verify import TABLE2, fd_check, within_published
 
 from oracles import conv_macs
 
@@ -159,6 +159,19 @@ def test_published_cost_rows():
             variant, g, report.flops / 1e9, flops_b)
 
 
+#: The published G in {32, 64} rows. These are internally inconsistent: the
+#: B0 param values match divisor-rounded group sizes exactly, B2's match a
+#: channel-padding scheme (or neither, at G=64), while all four FLOP values
+#: match padding the expanded width up to a multiple of G. No single
+#: architecture reproduces them, so they are documented rather than gated on.
+TABLE2_WIDE_GROUPS = {
+    ("b0", 32, 3): (6.2, 0.9),
+    ("b0", 64, 2): (6.7, 1.5),
+    ("b2", 32, 3): (10.3, 2.1),
+    ("b2", 64, 2): (9.9, 3.6),
+}
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="published G=32/64 rows mix two incompatible rounding schemes; "
@@ -210,16 +223,20 @@ def test_b2_group_sweep_flops_monotone():
     assert all(a < b for a, b in zip(flops, flops[1:]))
 
 
+def num_params(net) -> int:
+    return sum(int(p.size) for p in net.params().values())
+
+
 def test_count_cost_matches_built_model_exactly():
     rng = make_rng(0)
     cfg = model.ModelConfig.tiny()
     net = model.build_model(cfg, rng)
     report = model.count_cost(cfg, 32)
-    assert report.params == net.num_params()
+    assert report.params == num_params(net)
     big = model.ModelConfig.efficientnet("b0", group_size=16, expansion=4)
     net_b0 = model.build_model(big, make_rng(1))
     report_b0 = model.count_cost(big, 224)
-    assert report_b0.params == net_b0.num_params()
+    assert report_b0.params == num_params(net_b0)
 
 
 def _walk_dims(layer, prefix):

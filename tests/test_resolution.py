@@ -3,7 +3,7 @@
 import pytest
 
 from effkit import resolution, verify
-from effkit.model import ModelConfig, model_plan, native_resolution
+from effkit.model import ConvDims, ModelConfig, model_plan, native_resolution
 from effkit.tensor import make_rng
 
 #: variant native -> published best test/fine-tune resolutions when trained
@@ -83,10 +83,19 @@ def test_parity_profile_validation():
         resolution.parity_profile(31)
 
 
+def plan_parity_profile(plan) -> list[str]:
+    """Parity profile read from an actual layer plan's stride-2 inputs."""
+    return [
+        "even" if entry.in_size % 2 == 0 else "odd"
+        for entry in plan
+        if isinstance(entry, ConvDims) and entry.stride == 2
+    ]
+
+
 def test_parity_profile_matches_an_actual_layer_plan():
     cfg = ModelConfig.efficientnet("b0")
     for r in (224, 260, 300):
-        from_plan = resolution.plan_parity_profile(model_plan(cfg, r))
+        from_plan = plan_parity_profile(model_plan(cfg, r))
         assert from_plan == resolution.parity_profile(r)
 
 
