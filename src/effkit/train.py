@@ -6,7 +6,9 @@ proxy shift/scale parameters, label smoothing, an exponential moving
 average of weights taken once per epoch, and optional Mixup/CutMix batch
 augmentation. Fine-tuning starts from the averaged weights and runs plain
 SGD under a cosine schedule on the last one, two or three network segments
-only. Every run is a pure function of (seed, recipe, data order).
+only. Both run one step loop, ``_step_loop``, and pass it what differs: the
+schedule, the update, the gradients to zero, the model's input and the EMA.
+Every run is a pure function of (seed, recipe, data order).
 """
 
 from __future__ import annotations
@@ -320,7 +322,7 @@ def augment_batch(x, targets, rng: np.random.Generator, recipe: TrainRecipe):
 # ---------------------------------------------------------------------------
 
 
-def _run_batch(model, x, targets, smoothing, micro_batch_size=None, first=0):
+def _run_batch(model, x, targets, smoothing, micro_batch_size, first):
     """Forward/backward over one logical batch, accumulating gradients.
 
     ``x`` is the input of child ``first`` of ``model._order``: the children
@@ -348,19 +350,35 @@ def _run_batch(model, x, targets, smoothing, micro_batch_size=None, first=0):
     return loss_sum / total, correct / total
 
 
-def _check_loss(loss, step, log_path, log_rows) -> None:
-    """Stop on a non-finite step loss, after writing the log so far."""
-    if not math.isfinite(loss):
-        if log_path is not None:
-            _write_log(log_path, log_rows)
-        raise FloatingPointError(f"non-finite loss {loss} at step {step}")
-
-
-def _check_batch(x, batch: int) -> None:
-    """Refuse a batch of another size than the recipe's, whose learning rate
-    and fingerprint would not describe the run."""
-    if x.shape[0] != batch:
-        raise ValueError(f"a batch of {x.shape[0]} samples, but the recipe's batch is {batch}")
+def _step_loop(model, data, steps, batch, grads, schedule, inputs, update, end_epoch,
+               smoothing, micro_batch_size, first, log_path) -> None:
+    """Run ``steps`` steps over ``data``, epoch after epoch, and write the
+    log (none for ``log_path=None``), the log so far on a non-finite loss.
+    ``inputs(i, x, targets)`` makes the input of child ``first`` from the
+    batch at position ``i``; ``end_epoch()`` follows every epoch begun."""
+    num_classes = model.config.num_classes
+    log_rows = []
+    step = 0
+    for epoch in range(math.ceil(steps / len(data))):
+        for i, (x, y) in enumerate(data):
+            if x.shape[0] != batch:  # the lr and the fingerprint assume the recipe's
+                raise ValueError(
+                    f"a batch of {x.shape[0]} samples, but the recipe's batch is {batch}")
+            lr = schedule(step)
+            x, targets = inputs(i, x, _as_distribution(y, num_classes))
+            for g in grads:
+                g[...] = 0.0
+            loss, acc = _run_batch(model, x, targets, smoothing, micro_batch_size, first)
+            log_rows.append((epoch, step, lr, loss, acc))
+            if not math.isfinite(loss):
+                _write_log(log_path, log_rows)
+                raise FloatingPointError(f"non-finite loss {loss} at step {step}")
+            update(lr)
+            step += 1
+            if step == steps:
+                break
+        end_epoch()
+    _write_log(log_path, log_rows)
 
 
 def train_loop(
@@ -404,41 +422,30 @@ def train_loop(
     data = list(data)
     if not data:
         raise ValueError("no training batches")
+    steps = recipe.epochs * len(data)
+    if max_steps is not None:
+        steps = min(steps, max_steps)
     rng = make_rng(seed)
     params = model.params()
     grads = model.grads()  # backward accumulates into these arrays in place
     state = init_rmsprop_state(params)
     decay_names = frozenset(decay_param_names(model))
     ema: dict[str, np.ndarray] = {}
-    num_classes = model.config.num_classes
-    log_rows = []
-    step = 0
-    steps_per_epoch = len(data)
-    done = False
-    for epoch in range(recipe.epochs):
-        for x, y in data:
-            _check_batch(x, recipe.global_batch)
-            lr = lr_at(recipe, step / steps_per_epoch)
-            targets = _as_distribution(y, num_classes)
-            if recipe.augment:
-                x, targets = augment_batch(x, targets, rng, recipe)
-            for g in grads.values():
-                g[...] = 0.0
-            loss, acc = _run_batch(model, x, targets, recipe.label_smoothing, micro_batch_size)
-            log_rows.append((epoch, step, lr, loss, acc))
-            _check_loss(loss, step, log_path, log_rows)
-            rmsprop_step(params, grads, state, recipe, lr, decay_names)
-            step += 1
-            if max_steps is not None and step >= max_steps:
-                done = True
-                break
+
+    def augment(i, x, targets):
+        return augment_batch(x, targets, rng, recipe) if recipe.augment else (x, targets)
+
+    def average():
+        nonlocal ema
         ema = ema_update(ema, params, recipe.ema_decay)
-        if done:
-            break
-    if log_path is not None:
-        _write_log(log_path, log_rows)
-    epoch = min(recipe.epochs, math.ceil(step / steps_per_epoch))
-    return Checkpoint.from_model(model, epoch, recipe_fingerprint(recipe), ema)
+
+    _step_loop(model, data, steps, recipe.global_batch, grads.values(),
+               schedule=lambda step: lr_at(recipe, step / len(data)), inputs=augment,
+               update=lambda lr: rmsprop_step(params, grads, state, recipe, lr, decay_names),
+               end_epoch=average, smoothing=recipe.label_smoothing,
+               micro_batch_size=micro_batch_size, first=0, log_path=log_path)
+    return Checkpoint.from_model(model, math.ceil(steps / len(data)),
+                                 recipe_fingerprint(recipe), ema)
 
 
 def finetune(
@@ -481,33 +488,25 @@ def finetune(
     first = model.scope_start(recipe.last_k)
     scoped = sorted(model.scope_param_names(recipe.last_k))
     grads = model.grads()  # backward accumulates into these arrays in place
-    scoped_grads = [grads[name] for name in scoped]
     prefix_out: dict[int, np.ndarray] = {}  # batch position -> frozen prefix output
-    num_classes = model.config.num_classes
-    total_steps = recipe.epochs * len(data)
-    log_rows = []
-    step = 0
-    for epoch in range(recipe.epochs):
-        for i, (x, y) in enumerate(data):
-            _check_batch(x, recipe.batch)
-            lr = cosine_lr(step, total_steps, recipe.initial_lr)
-            targets = _as_distribution(y, num_classes)
-            if i not in prefix_out:
-                prefix_out[i] = model.forward(x, train=True, stop=first, grad=False)
-            for g in scoped_grads:
-                g[...] = 0.0
-            loss, acc = _run_batch(model, prefix_out[i], targets, smoothing=0.0, first=first)
-            log_rows.append((epoch, step, lr, loss, acc))
-            _check_loss(loss, step, log_path, log_rows)
-            sgd_step(params, grads, lr, scoped)
-            step += 1
-    if log_path is not None:
-        _write_log(log_path, log_rows)
+    steps = recipe.epochs * len(data)
+
+    def prefix(i, x, targets):
+        if i not in prefix_out:
+            prefix_out[i] = model.forward(x, train=True, stop=first, grad=False)
+        return prefix_out[i], targets
+
+    _step_loop(model, data, steps, recipe.batch, [grads[name] for name in scoped],
+               schedule=lambda step: cosine_lr(step, steps, recipe.initial_lr), inputs=prefix,
+               update=lambda lr: sgd_step(params, grads, lr, scoped), end_epoch=lambda: None,
+               smoothing=0.0, micro_batch_size=None, first=first, log_path=log_path)
     return Checkpoint.from_model(model, ckpt.epoch + recipe.epochs,
                                  recipe_fingerprint(recipe), ema=None)
 
 
 def _write_log(path, rows) -> None:
+    if path is None:
+        return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "step", "lr", "loss", "train_acc"])

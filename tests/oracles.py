@@ -292,6 +292,54 @@ def ema_reference(values, decay):
 
 
 # ---------------------------------------------------------------------------
+# training
+# ---------------------------------------------------------------------------
+
+
+def naive_train(model, recipe, batches, max_steps, decay_names):
+    """The plain training loop, without augmentation; returns the final
+    state, the weight average and the number of epochs begun.
+
+    Every step zeroes every gradient, runs the whole network forward and
+    backward under the label-smoothed loss, and applies
+    ``rmsprop_whole_array`` at the staircase learning rate. After every
+    epoch begun, the one ``max_steps`` cuts short included, the average
+    takes in the parameters as ``ema_reference`` does. The loss gradient,
+    the schedule and the average are written out in the package's
+    floating-point order, so the package's loop must agree bit for bit.
+    """
+    params = model.params()
+    state = {f"{kind}/{name}": np.zeros_like(p) for kind in ("acc", "vel")
+             for name, p in params.items()}
+    ema = None
+    step = epochs = 0
+    smoothing = recipe.label_smoothing
+    while epochs < recipe.epochs and step < max_steps:
+        epochs += 1
+        for x, y in batches:
+            period = math.floor(step / len(batches) / recipe.lr_decay_epochs)
+            lr = recipe.base_lr * recipe.lr_decay_factor**period
+            model.zero_grads()
+            logits = model.forward(x, train=True)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            target = np.zeros_like(logits)
+            target[np.arange(len(y)), y] = 1.0
+            target = (1.0 - smoothing) * target + smoothing / logits.shape[1]
+            model.backward((np.exp(log_probs) - target) / len(y))
+            rmsprop_whole_array(params, model.grads(), state, recipe.rmsprop_decay,
+                                recipe.rmsprop_momentum, recipe.rmsprop_delta,
+                                recipe.weight_decay, lr, decay_names)
+            step += 1
+            if step == max_steps:
+                break
+        decay = recipe.ema_decay
+        ema = ({name: p.copy() for name, p in params.items()} if ema is None else
+               {name: decay * ema[name] + (1.0 - decay) * p for name, p in params.items()})
+    return {name: arr.copy() for name, arr in model.state().items()}, ema, epochs
+
+
+# ---------------------------------------------------------------------------
 # fine-tuning
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Optimizer arithmetic, schedules, losses, augmentation, and the loops."""
 
+import collections
 import json
 import math
 import os
@@ -21,7 +22,8 @@ from effkit.model import ConvDims, ModelConfig, StageSpec, build_model, model_pl
 from effkit.norms import NormSpec
 from effkit.tensor import make_rng
 
-from oracles import ema_reference, naive_finetune, rmsprop_reference, rmsprop_whole_array
+from oracles import (ema_reference, naive_finetune, naive_train, rmsprop_reference,
+                     rmsprop_whole_array)
 
 
 def tiny_setup(seed=0, **config_over):
@@ -509,6 +511,50 @@ def test_train_loop_stops_on_divergence(tmp_path):
                          seed=0, max_steps=1)
 
 
+@pytest.mark.parametrize("norm", ["ln", "bn"])
+def test_train_loop_matches_naive_loop_bit_for_bit(norm):
+    # Two epochs of three batches cut at five steps: the run stops inside
+    # epoch 2, and the average still takes in that partial epoch.
+    cfg = ModelConfig.tiny(norm=NormSpec(norm))
+    x, y = blob_dataset(12, size=16, classes=cfg.num_classes, seed=21)
+    batches = as_batches(x, y, 4)
+    recipe = train.TrainRecipe(global_batch=4, epochs=2)
+    net = build_model(cfg, make_rng(21))
+    got = train.train_loop(net, batches, recipe, seed=0, max_steps=5)
+    ref = build_model(cfg, make_rng(21))
+    state, ema, epochs = naive_train(ref, recipe, batches, 5, frozenset(decay_param_names(ref)))
+    assert got.epoch == epochs == 2
+    assert set(got.state) == set(state) and set(got.ema) == set(ema)
+    for name in state:
+        assert np.array_equal(got.state[name], state[name]), name
+    for name in ema:
+        assert np.array_equal(got.ema[name], ema[name]), name
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_loops_look_up_the_traced_functions_at_call_time(monkeypatch):
+    """perfbench's tracer replaces these module attributes. A loop that
+    bound one before the patch would never call the wrapper, and its
+    optimizer or EMA time would read 0."""
+    cfg, ckpt, batches = finetune_case("ln", {})
+    calls = collections.Counter()
+    for name in ("_run_batch", "lr_at", "cosine_lr", "rmsprop_step", "sgd_step", "ema_update"):
+        monkeypatch.setattr(train, name, _counting(calls, name, getattr(train, name)))
+    recipe = train.TrainRecipe(global_batch=4, epochs=2)
+    train.train_loop(build_model(cfg, make_rng(1)), batches, recipe, seed=0, max_steps=5)
+    assert calls == {"_run_batch": 5, "lr_at": 5, "rmsprop_step": 5, "ema_update": 2}
+    calls.clear()
+    recipe = train.FinetuneRecipe(scope="last-1", epochs=2, batch=4)
+    train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, batches)
+    assert calls == {"_run_batch": 6, "cosine_lr": 6, "sgd_step": 6}
+
+
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_train_loop_rejects_max_steps_below_one(max_steps, tmp_path):
     # A run asked for no steps used to train one and return its checkpoint.
@@ -714,22 +760,43 @@ class _Counted:
         return iter(self.batch)
 
 
-def test_finetune_unpacks_each_batch_once_per_step(tmp_path):
+@pytest.mark.parametrize("loop", ["train_loop", "finetune"])
+def test_loops_unpack_each_batch_once_per_step(loop, tmp_path):
+    """perfbench's StepClock stamps a step where the loop unpacks its batch,
+    so each step must unpack one batch, once."""
     cfg, ckpt, batches = finetune_case("ln", {})
     pulls = []
     data = [_Counted(pulls, i, batch) for i, batch in enumerate(batches)]
-    recipe = train.FinetuneRecipe(scope="last-2", epochs=3, batch=4)
+    net = build_model(cfg, make_rng(1))
     log = tmp_path / "log.csv"
-    train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, data, log_path=log)
-    assert pulls == [0, 1, 2] * 3
+    if loop == "train_loop":
+        recipe = train.TrainRecipe(global_batch=4, epochs=3)
+        train.train_loop(net, data, recipe, seed=0, max_steps=5, log_path=log)
+        assert pulls == [0, 1, 2, 0, 1]
+    else:
+        recipe = train.FinetuneRecipe(scope="last-2", epochs=3, batch=4)
+        train.finetune(net, ckpt, recipe, data, log_path=log)
+        assert pulls == [0, 1, 2] * 3
     assert len(log.read_text().splitlines()) == 1 + len(pulls)
 
 
-def test_finetune_stops_on_divergence():
+def test_finetune_rejects_empty_data_before_loading_the_model():
+    cfg, ckpt, _ = finetune_case("ln", {})
+    net = build_model(cfg, make_rng(1))
+    before = {k: v.copy() for k, v in net.state().items()}
+    with pytest.raises(ValueError, match="no fine-tuning batches"):
+        train.finetune(net, ckpt, train.FinetuneRecipe(batch=4), [])
+    for name, arr in net.state().items():
+        assert np.array_equal(arr, before[name]), name
+
+
+def test_finetune_stops_on_divergence(tmp_path):
     cfg, ckpt, batches = finetune_case("ln", {})
     recipe = train.FinetuneRecipe(scope="last-1", epochs=1, batch=4, initial_lr=1e200)
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite loss"):
-        train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, batches)
+    log = tmp_path / "log.csv"
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="loss nan at step 1"):
+        train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, batches, log_path=log)
+    assert len(log.read_text().splitlines()) == 3  # header, then steps 0 and 1
 
 
 def test_train_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
