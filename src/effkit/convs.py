@@ -152,15 +152,14 @@ def _gather_index(hp: int, wp: int, k: int, s: int) -> np.ndarray:
     return index
 
 
-def _columns(xp: np.ndarray, groups: int, k: int, s: int) -> np.ndarray:
-    """(B, groups, C/groups*k*k, OH*OW) im2col matrix of the padded,
-    C-contiguous input, gathered whole; the input itself for a 1x1
-    convolution at stride 1."""
-    b, c, hp, wp = xp.shape
-    cols = xp if k == s == 1 else np.take(
-        xp.reshape(b * c, hp * wp), _gather_index(hp, wp, k, s), axis=1, mode="clip"
-    )
-    return cols.reshape(b, groups, c // groups * k * k, -1)
+@functools.lru_cache(maxsize=128)
+def _folded_index(hp: int, wp: int, k: int, s: int, g: int) -> np.ndarray:
+    """Positions in one group's flattened (G, Hp, Wp) padded input of the
+    folded weight gradient's columns, in order (OH*OW, G*k*k)."""
+    taps = _gather_index(hp, wp, k, s).reshape(k * k, -1)
+    index = (np.arange(g)[:, None, None] * (hp * wp) + taps).reshape(g * k * k, -1).T.copy()
+    index.setflags(write=False)
+    return index
 
 
 def _column_blocks(xp: np.ndarray, groups: int, k: int, s: int):
@@ -288,11 +287,18 @@ def _weight_grad(xp: np.ndarray, dy: np.ndarray, spec: ConvSpec) -> np.ndarray:
     dg = dy.reshape(b, groups, opg, oh * ow)
     if folds_batch_for_dw(spec, oh * ow):
         # (groups, opg, B*OH*OW) @ (groups, B*OH*OW, G*k*k): the sum over
-        # samples happens inside each product.
-        cols = _columns(xp, groups, k, s)
+        # samples happens inside each product. The columns are gathered
+        # straight into that layout from the group-major view of the input,
+        # which a 1x1 convolution at stride 1 copies transposed instead.
+        _, c, hp, wp = xp.shape
+        src = xp.reshape(b, groups, -1).transpose(1, 0, 2)
+        if k == s == 1:
+            cols = src.reshape(groups, b, c // groups, -1).transpose(0, 1, 3, 2)
+        else:
+            cols = np.take(src, _folded_index(hp, wp, k, s, c // groups), axis=2, mode="clip")
         dw = np.matmul(
             dg.transpose(1, 2, 0, 3).reshape(groups, opg, -1),
-            cols.transpose(1, 0, 3, 2).reshape(groups, b * oh * ow, -1),
+            cols.reshape(groups, b * oh * ow, -1),
         )
     else:
         # One product per (sample, group), summed over samples in order.
@@ -317,10 +323,20 @@ def _input_grad(dy: np.ndarray, weight: np.ndarray, spec: ConvSpec, in_shape) ->
     # rows r0-t+1 .. r1-1; for every geometry r0 < t and r1 >= OH.
     window = _padded(dy, (t - 1 - r0, r1 - dy.shape[2]), (t - 1 - c0, c1 - dy.shape[3]))
     phases = _product(window, wt, spec.groups, 1)
-    mh, mw = r1 - r0, c1 - c0
-    dxp = phases.reshape(b, c, s, s, mh, mw).transpose(0, 1, 4, 2, 5, 3)
-    dxp = dxp.reshape(b, c, mh * s, mw * s)
-    return np.ascontiguousarray(dxp[:, :, roff : roff + h, coff : coff + w])
+    if s == 1:
+        return phases  # the one phase is dx
+    # dx row i is phase row (i + roff) // s of phase (i + roff) % s: each
+    # phase fills every s-th row and column of dx, written there once.
+    phases = phases.reshape(b, c, s, s, r1 - r0, c1 - c0)
+    dx = np.empty(in_shape)
+    for ry in range(s):
+        i0 = (ry - roff) % s
+        for rx in range(s):
+            j0 = (rx - coff) % s
+            dst = dx[:, :, i0::s, j0::s]
+            m0, n0 = (i0 + roff) // s, (j0 + coff) // s
+            dst[...] = phases[:, :, ry, rx, m0 : m0 + dst.shape[2], n0 : n0 + dst.shape[3]]
+    return dx
 
 
 def conv_backward(cache, dy: np.ndarray, input_grad: bool = True):

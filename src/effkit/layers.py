@@ -258,15 +258,11 @@ class NormAct(Layer):
 
     def backward(self, dz, input_grad=True):
         ncache, acache = self._backward_cache()
-        if self.proxy:
-            dy, dgamma, dbeta, dpb, dpg = pn_activation_backward(acache, dz)
-            self._grads["proxy_beta"] += dpb
-            self._grads["proxy_gamma"] += dpg
-        else:
-            dy, dgamma, dbeta = scaled_activation_backward(acache, dz)
-        self._grads["gamma"] += dgamma
-        self._grads["beta"] += dbeta
-        return normalize_backward(ncache, dy) if input_grad else None
+        backward = pn_activation_backward if self.proxy else scaled_activation_backward
+        da, scale, sums, grads = backward(acache, dz)
+        for name, g in grads.items():
+            self._grads[name] += g
+        return normalize_backward(ncache, da, scale, sums) if input_grad else None
 
 
 class SqueezeExcite(Layer):
@@ -292,7 +288,7 @@ class SqueezeExcite(Layer):
         dgate = (dy * x).sum(axis=(2, 3))
         dlogits = dgate * gate * (1.0 - gate)
         dh = self.fc2.backward(dlogits)
-        da = dh * self._swish.deriv(a)
+        da = self._swish.grad(a, dh)
         dpooled = self.fc1.backward(da, input_grad=input_grad)
         if not input_grad:
             return None

@@ -247,28 +247,27 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def smoothed_targets(labels, num_classes: int, smoothing: float) -> np.ndarray:
-    """(1 - s) on the target distribution plus s/K spread over every class."""
-    dist = _as_distribution(labels, num_classes)
-    return (1.0 - smoothing) * dist + smoothing / num_classes
-
-
-def _smoothed_losses_and_grad(logits: np.ndarray, labels, smoothing: float):
+def _smoothed_losses_and_grad(logits: np.ndarray, dist: np.ndarray, smoothing: float):
     """Per-sample smoothed cross-entropy and d(mean loss)/d(logits) =
-    (softmax - smoothed targets) / batch, from one log-softmax."""
-    target = smoothed_targets(labels, logits.shape[1], smoothing)
+    (softmax - smoothed targets) / batch, from one log-softmax. ``dist`` is
+    the (B, K) target distribution (``_as_distribution`` of the labels);
+    the smoothed targets are (1 - s) on it plus s/K spread over every
+    class."""
+    target = (1.0 - smoothing) * dist + smoothing / logits.shape[1]
     log_probs = _log_softmax(logits)
     losses = -(target * log_probs).sum(axis=1)
     return losses, (np.exp(log_probs) - target) / logits.shape[0]
 
 
 def smoothed_cross_entropy(logits: np.ndarray, labels, smoothing: float) -> float:
-    return float(_smoothed_losses_and_grad(logits, labels, smoothing)[0].mean())
+    dist = _as_distribution(labels, logits.shape[1])
+    return float(_smoothed_losses_and_grad(logits, dist, smoothing)[0].mean())
 
 
 def smoothed_cross_entropy_grad(logits: np.ndarray, labels, smoothing: float) -> np.ndarray:
     """d(mean loss)/d(logits) = (softmax - smoothed targets) / batch."""
-    return _smoothed_losses_and_grad(logits, labels, smoothing)[1]
+    dist = _as_distribution(labels, logits.shape[1])
+    return _smoothed_losses_and_grad(logits, dist, smoothing)[1]
 
 
 def mixup(x1, y1, x2, y2, lam: float):

@@ -170,6 +170,96 @@ def piecewise_sigmoid(x):
 
 
 # ---------------------------------------------------------------------------
+# normalize-activate (NormAct), one whole-array pass per stage
+# ---------------------------------------------------------------------------
+
+#: (act, act') of each activation, swish through ``piecewise_sigmoid``.
+REFERENCE_ACTIVATIONS = {
+    "identity": (lambda x: x, lambda x: np.ones_like(x)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
+    "swish": (
+        lambda x: x * piecewise_sigmoid(x),
+        lambda x: piecewise_sigmoid(x) * (1.0 + x * (1.0 - piecewise_sigmoid(x))),
+    ),
+}
+
+
+def reference_proxy_moments(gamma, beta, proxy_beta, proxy_gamma, activation, rule):
+    """Proxy mean and variance of act(gamma * u + beta), u ~ N(proxy_beta,
+    (1 + proxy_gamma)^2), under a ``norms.QuadratureRule``, with their
+    derivatives: (m, var, dm, dvar), the last two mapping parameter names
+    to per-channel arrays."""
+    fn, deriv = REFERENCE_ACTIVATIONS[activation]
+    u = proxy_beta[:, None] + (1.0 + proxy_gamma)[:, None] * rule.nodes[None, :]
+    a = gamma[:, None] * u + beta[:, None]
+    phi, dphi = fn(a), deriv(a)
+    m = phi @ rule.weights
+    var = (phi * phi) @ rule.weights - m * m
+    da = {
+        "gamma": u,
+        "beta": np.ones_like(u),
+        "proxy_beta": np.broadcast_to(gamma[:, None], u.shape),
+        "proxy_gamma": gamma[:, None] * rule.nodes[None, :],
+    }
+    dm = {name: (dphi * d) @ rule.weights for name, d in da.items()}
+    dvar = {name: (2.0 * phi * dphi * d) @ rule.weights - 2.0 * m * dm[name]
+            for name, d in da.items()}
+    return m, var, dm, dvar
+
+
+def reference_normact(x, spec, params, activation, rule, eps, eps_tilde):
+    """z = act(gamma * normalize(x) + beta), recentred and rescaled by the
+    proxy moments when ``params`` holds proxy_beta/proxy_gamma; returns (z,
+    cache). ``normalize`` is the textbook (x - mean) / sqrt(var + eps), with
+    batch norm's moments per channel over (B, H, W) and the other kinds'
+    per sample over ``spec.resolved_groups(C)`` channel groups."""
+    shape = x.shape
+    if spec.kind == "bn":
+        axes, xg = (0, 2, 3), x
+    else:
+        axes, xg = 2, x.reshape(shape[0], spec.resolved_groups(shape[1]), -1)
+    mean = xg.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(xg.var(axis=axes, keepdims=True) + eps)
+    y = ((xg - mean) * inv).reshape(shape)
+    g = params["gamma"].reshape(1, -1, 1, 1)
+    a = g * y + params["beta"].reshape(1, -1, 1, 1)
+    fn, deriv = REFERENCE_ACTIVATIONS[activation]
+    z = fn(a)
+    cache = {"axes": axes, "rows": xg.shape, "inv": inv, "y": y, "a": a, "deriv": deriv,
+             "params": params}
+    if "proxy_beta" in params:
+        m, var, dm, dvar = reference_proxy_moments(
+            params["gamma"], params["beta"], params["proxy_beta"], params["proxy_gamma"],
+            activation, rule)
+        s = np.sqrt(var + eps_tilde)
+        z = (z - m.reshape(1, -1, 1, 1)) / s.reshape(1, -1, 1, 1)
+        cache.update(z=z, s=s, dm=dm, dvar=dvar)
+    return z, cache
+
+
+def reference_normact_backward(cache, dz):
+    """(dx, grads) of ``reference_normact`` for the upstream gradient dz."""
+    y, params = cache["y"], cache["params"]
+    grads = {}
+    if "s" in cache:
+        s = cache["s"]
+        dl_dm = -dz.sum(axis=(0, 2, 3)) / s
+        dl_dvar = -(dz * cache["z"]).sum(axis=(0, 2, 3)) / (2.0 * s**2)
+        grads = {name: dl_dm * cache["dm"][name] + dl_dvar * cache["dvar"][name]
+                 for name in cache["dm"]}
+        dz = dz / s.reshape(1, -1, 1, 1)
+    da = dz * cache["deriv"](cache["a"])
+    grads["gamma"] = grads.get("gamma", 0.0) + (da * y).sum(axis=(0, 2, 3))
+    grads["beta"] = grads.get("beta", 0.0) + da.sum(axis=(0, 2, 3))
+    dy = (da * params["gamma"].reshape(1, -1, 1, 1)).reshape(cache["rows"])
+    yg = y.reshape(cache["rows"])
+    axes = cache["axes"]
+    dmean = dy.mean(axis=axes, keepdims=True)
+    dproj = (dy * yg).mean(axis=axes, keepdims=True)
+    return (cache["inv"] * (dy - dmean - yg * dproj)).reshape(y.shape), grads
+
+
+# ---------------------------------------------------------------------------
 # Gaussian expectations
 # ---------------------------------------------------------------------------
 

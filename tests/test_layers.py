@@ -1,13 +1,18 @@
 """Layer-level gradient checks, batch norm buffers, and batch independence."""
 
+import collections
+
 import numpy as np
 import pytest
 
-from effkit import layers
+from effkit import layers, norms
 from effkit.convs import ConvSpec
-from effkit.norms import EPSILON, NormSpec, batch_moments
+from effkit.model import ModelConfig, build_model
+from effkit.norms import EPSILON, EPSILON_TILDE, QUAD_RULE, NormSpec
 from effkit.tensor import make_rng
 from effkit.verify import check_layer
+
+from oracles import reference_normact, reference_normact_backward
 
 
 def test_conv_layer_gradients_dense_grouped_depthwise():
@@ -100,7 +105,7 @@ def test_bn_running_moments_update_in_train_only():
     rm0 = layer.running_mean.copy()
     rv0 = layer.running_var.copy()
     layer.forward(x, train=True)
-    mean, var = batch_moments(x)
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
     np.testing.assert_allclose(layer.running_mean, 0.99 * rm0 + 0.01 * mean, atol=1e-12)
     np.testing.assert_allclose(layer.running_var, 0.99 * rv0 + 0.01 * var, atol=1e-12)
     frozen_mean = layer.running_mean.copy()
@@ -294,3 +299,108 @@ def test_backward_without_input_grad_returns_none_and_the_same_parameter_grads(l
     assert layer.backward(dy, input_grad=False) is None
     for name, g in layer.grads().items():
         np.testing.assert_array_equal(g, want[name], err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# NormAct against its whole-array reference
+# ---------------------------------------------------------------------------
+
+NORM_KINDS = ("bn", "ln", "gn", "in")
+
+
+def _normact(kind, activation, proxy, channels, rng):
+    """A NormAct with drawn parameters, so that no affine or proxy term is
+    the identity."""
+    layer = layers.NormAct(channels, NormSpec(kind), activation, proxy=proxy)
+    layer.gamma[...] = 1.0 + 0.3 * rng.normal(size=channels)
+    layer.beta[...] = 0.3 * rng.normal(size=channels)
+    if proxy:
+        layer.proxy_beta[...] = 0.2 * rng.normal(size=channels)
+        layer.proxy_gamma[...] = 0.2 * rng.normal(size=channels)
+    return layer
+
+
+# Largest deviation from the reference, relative to the reference's largest
+# magnitude, over the 24 cases below: 5.9e-16 for z, 6.0e-16 for dx and
+# 5.3e-15 for a parameter gradient, so the bound is about 190 times the
+# worst. Wrong terms are far above it: dropping gamma's proxy derivative
+# read 14, and dropping bn's mean(dy) from dx read 0.055.
+REFERENCE_TOLERANCE = 1e-12
+
+
+@pytest.mark.parametrize("proxy", [False, True], ids=["plain", "proxy"])
+@pytest.mark.parametrize("activation", ["swish", "relu", "identity"])
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_normact_matches_the_whole_array_reference(kind, activation, proxy):
+    rng = make_rng(20)
+    layer = _normact(kind, activation, proxy, 8, rng)
+    x = 2.0 * rng.normal(size=(3, 8, 5, 4)) + 0.5
+    dz = rng.normal(size=x.shape)
+    params = {name: p.copy() for name, p in layer.params().items()}
+    want_z, cache = reference_normact(x, layer.spec, params, activation, QUAD_RULE,
+                                      EPSILON, EPSILON_TILDE)
+    want_dx, want_grads = reference_normact_backward(cache, dz)
+    layer.zero_grads()
+    z = layer.forward(x, train=True)
+    dx = layer.backward(dz)
+
+    def deviation(got, want):
+        # Relative to the largest magnitude, or absolute below 1: bn's
+        # shift cancels an identity's proxy, so its beta gradient is 0.
+        return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+    assert deviation(z, want_z) <= REFERENCE_TOLERANCE
+    assert deviation(dx, want_dx) <= REFERENCE_TOLERANCE
+    assert set(layer.grads()) == set(want_grads)
+    for name, g in layer.grads().items():
+        assert deviation(g, want_grads[name]) <= REFERENCE_TOLERANCE, name
+
+
+@pytest.mark.parametrize("shape", [(5, 1152, 2, 2), (5, 96, 32, 32)], ids=["1152x2x2", "96x32x32"])
+@pytest.mark.parametrize("proxy", [False, True], ids=["plain", "proxy"])
+@pytest.mark.parametrize("kind", ["ln", "gn", "in"])
+def test_normact_is_per_sample_bit_stable_at_b0_widths(kind, proxy, shape):
+    # b0's widest late stage and its widest early field: a sample's output
+    # and input gradient must not depend on the batch it sits in.
+    rng = make_rng(21)
+    layer = _normact(kind, "swish", proxy, shape[1], rng)
+    x = rng.normal(size=shape)
+    dz = rng.normal(size=shape)
+    z = layer.forward(x, train=True)
+    dx = layer.backward(dz)
+    for b in range(shape[0]):
+        solo_z = layer.forward(x[b : b + 1], train=True)
+        solo_dx = layer.backward(dz[b : b + 1])
+        assert np.array_equal(solo_z[0], z[b]), b
+        assert np.array_equal(solo_dx[0], dx[b]), b
+
+
+def test_forward_only_passes_call_no_derivative(monkeypatch):
+    # Evaluation and the fine-tune's frozen prefix (grad=False) keep no
+    # cache, so they must not pay for what only a backward reads.
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name, act in list(norms.ACTIVATIONS.items()):
+        monkeypatch.setitem(norms.ACTIVATIONS, name,
+                            norms.Activation(act.fn, counting(name, act.grad)))
+    monkeypatch.setattr(norms, "proxy_moment_grads",
+                        counting("proxy_moment_grads", norms.proxy_moment_grads))
+    rng = make_rng(22)
+    for kind in NORM_KINDS:
+        net = build_model(ModelConfig.tiny(norm=NormSpec(kind), proxy=kind != "bn"), rng)
+        x = rng.normal(size=(2, 3, 16, 16))
+        net.forward(x, train=True)  # moves bn's running moments off their start
+        net.forward(x, train=False)
+        net.forward(x, train=True, grad=False)
+        assert not calls, (kind, calls)
+        y = net.forward(x, train=True)
+        net.backward(np.ones_like(y))
+        assert calls["swish"] and calls["identity"], kind
+        assert bool(calls["proxy_moment_grads"]) == (kind != "bn"), kind
+        calls.clear()

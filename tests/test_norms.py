@@ -84,7 +84,7 @@ def test_bn_moments_after_normalization():
     x = 3.0 * rng.normal(size=(8, 4, 6, 6)) + 1.0
     eps = norms.EPSILON
     y, _ = norms.normalize(x, norms.NormSpec("bn"))
-    mean, var = norms.batch_moments(y)
+    mean, var = y.mean(axis=(0, 2, 3)), y.var(axis=(0, 2, 3))
     sigma2 = x.var(axis=(0, 2, 3))
     assert np.abs(mean).max() <= 1e-12
     np.testing.assert_allclose(var, sigma2 / (sigma2 + eps), atol=1e-10, rtol=0)
@@ -93,7 +93,8 @@ def test_bn_moments_after_normalization():
 def test_batch_moments_matches_loop_oracle():
     rng = make_rng(7)
     x = rng.uniform(-2.0, 2.0, size=(4, 3, 8, 8))
-    mean, var = norms.batch_moments(x)
+    _, cache = norms.normalize(x, norms.NormSpec("bn"))
+    mean, var = cache["moments"]
     for c in range(3):
         vals = [
             x[b, c, i, j]
@@ -124,13 +125,13 @@ def test_bn_given_batch_moments_equals_train_mode():
     spec = norms.NormSpec("bn")
     for shape in ((1, 1, 1, 1), (2, 3, 5, 5), (4, 8, 1, 1), (3, 16, 7, 4), (8, 5, 2, 9)):
         x = rng.normal(size=shape) * rng.uniform(0.1, 10.0) + rng.normal()
-        moments = norms.batch_moments(x)
-        y_eval, eval_cache = norms.normalize(x, spec, stats=moments)
         y_train, train_cache = norms.normalize(x, spec)
+        moments = train_cache["moments"]
+        y_eval, eval_cache = norms.normalize(x, spec, stats=moments)
         assert np.array_equal(y_eval, y_train), shape
         assert np.array_equal(eval_cache["inv"], train_cache["inv"]), shape
-        for got, want in zip(train_cache["moments"], moments):
-            assert np.array_equal(got, want), shape
+        for got, want in zip(eval_cache["moments"], moments):
+            assert got is want, shape
 
 
 def test_ln_idempotent_on_standardized_sample():
@@ -185,6 +186,15 @@ def test_batch_independent_kinds_are_per_sample_functions():
     assert not np.array_equal(full[0], solo[0])
 
 
+def _input_grad(cache, dy):
+    """``normalize_backward`` for the upstream gradient dy itself: scale 1,
+    and bn's per-channel sums taken here from the cache's y."""
+    rows = dy.reshape(dy.shape[0], dy.shape[1], -1)
+    y = cache["y"].reshape(rows.shape)
+    sums = ((rows * y).sum(axis=(0, 2)), rows.sum(axis=(0, 2)))
+    return norms.normalize_backward(cache, dy.copy(), np.ones(dy.shape[1]), sums)
+
+
 def test_normalize_backward_all_kinds():
     rng = make_rng(7)
     x = rng.normal(size=(2, 4, 5, 5))
@@ -192,7 +202,7 @@ def test_normalize_backward_all_kinds():
     for kind in ("bn", "ln", "gn", "in"):
         spec = norms.NormSpec(kind)
         _, cache = norms.normalize(x, spec)
-        dx = norms.normalize_backward(cache, dy)
+        dx = _input_grad(cache, dy)
 
         def value(spec=spec):
             y, _ = norms.normalize(x, spec)
@@ -207,7 +217,7 @@ def test_zero_upstream_gradient_gives_zero():
     x = rng.normal(size=(2, 4, 3, 3))
     for kind in ("bn", "ln", "gn", "in"):
         _, cache = norms.normalize(x, norms.NormSpec(kind))
-        dx = norms.normalize_backward(cache, np.zeros_like(x))
+        dx = _input_grad(cache, np.zeros_like(x))
         np.testing.assert_array_equal(dx, np.zeros_like(x))
 
 
@@ -252,6 +262,21 @@ def test_sigmoid_tails_match_piecewise_reference():
     assert ((got >= 0.0) & (got <= 1e-300)).all()
 
 
+def test_swish_and_its_gradient_take_their_limits_and_raise_nothing():
+    swish = norms.get_activation("swish")
+    x = np.array([-1e308, -800.0, -720.0, -37.0, -1.0, 0.0, 2.5, 37.0, 709.0, 720.0, 800.0, 1e308])
+    with np.errstate(all="raise"):
+        z = swish.fn(x)
+        d = swish.grad(x.copy(), 1.0)
+    # Below x = -709.78 swish reads -0, where the true value is under 1e-305.
+    np.testing.assert_allclose(z, x * piecewise_sigmoid(x), rtol=1e-15, atol=1e-305)
+    assert np.isfinite(d).all()
+    assert (d[:3] == 0.0).all() and (d[-3:] == 1.0).all()
+    mid = x[3:-3]
+    s = piecewise_sigmoid(mid)
+    np.testing.assert_allclose(d[3:-3], s * (1.0 + mid * (1.0 - s)), rtol=0.0, atol=4e-15)
+
+
 def test_activation_derivatives_match_finite_differences():
     rng = make_rng(10)
     x = rng.normal(size=128) * 2.0
@@ -261,7 +286,7 @@ def test_activation_derivatives_match_finite_differences():
         if name == "relu":
             x = x[np.abs(x) > 1e-3]  # keep probes away from the kink
         num = (act.fn(x + h) - act.fn(x - h)) / (2 * h)
-        np.testing.assert_allclose(act.deriv(x), num, atol=1e-8, rtol=1e-6)
+        np.testing.assert_allclose(act.grad(x.copy(), 1.0), num, atol=1e-8, rtol=1e-6)
 
 
 def test_quadrature_monomial_exactness():
@@ -466,7 +491,11 @@ def test_pn_backward_matches_finite_differences():
     quad = norms.QuadratureRule.gauss_hermite(40)
     dz = rng.normal(size=y.shape)
     z, cache = norms.pn_activation(y, gamma, beta, pbeta, pgamma, act, quad)
-    dy, dgamma, dbeta, dpbeta, dpgamma = norms.pn_activation_backward(cache, dz)
+    da, scale, _, grads = norms.pn_activation_backward(cache, dz)
+    dy = scale.reshape(1, -1, 1, 1) * da
+    dgamma, dbeta, dpbeta, dpgamma = (
+        grads[name] for name in ("gamma", "beta", "proxy_beta", "proxy_gamma")
+    )
 
     def loss():
         zz, _ = norms.pn_activation(y, gamma, beta, pbeta, pgamma, act, quad)
@@ -490,7 +519,10 @@ def test_scaled_activation_backward():
     act = norms.get_activation("swish")
     dz = rng.normal(size=y.shape)
     z, cache = norms.scaled_activation(y, gamma, beta, act)
-    dy, dgamma, dbeta = norms.scaled_activation_backward(cache, dz)
+    da, scale, sums, grads = norms.scaled_activation_backward(cache, dz)
+    dy = scale.reshape(1, -1, 1, 1) * da
+    dgamma, dbeta = grads["gamma"], grads["beta"]
+    assert dgamma is sums[0] and dbeta is sums[1]
 
     def loss():
         zz, _ = norms.scaled_activation(y, gamma, beta, act)

@@ -555,6 +555,29 @@ def test_loops_look_up_the_traced_functions_at_call_time(monkeypatch):
     assert calls == {"_run_batch": 6, "cosine_lr": 6, "sgd_step": 6}
 
 
+def test_labels_are_converted_once_per_step(monkeypatch):
+    """Each step turns its labels into a distribution once: the loss takes
+    the loop's distribution as it is, and the public losses still accept
+    labels."""
+    cfg, ckpt, batches = finetune_case("ln", {})
+    calls = collections.Counter()
+    monkeypatch.setattr(train, "_as_distribution",
+                        _counting(calls, "_as_distribution", train._as_distribution))
+    recipe = train.TrainRecipe(global_batch=4, epochs=2)
+    train.train_loop(build_model(cfg, make_rng(1)), batches, recipe, seed=0, max_steps=5)
+    assert calls == {"_as_distribution": 5}
+    calls.clear()
+    recipe = train.FinetuneRecipe(scope="last-1", epochs=2, batch=4)
+    train.finetune(build_model(cfg, make_rng(1)), ckpt, recipe, batches)
+    assert calls == {"_as_distribution": 6}
+    logits = make_rng(2).normal(size=(3, 4))
+    labels = np.array([0, 3, 1])
+    assert train.smoothed_cross_entropy(logits, labels, 0.1) == train.smoothed_cross_entropy(
+        logits, train.one_hot(labels, 4), 0.1)
+    assert np.array_equal(train.smoothed_cross_entropy_grad(logits, labels, 0.1),
+                          train.smoothed_cross_entropy_grad(logits, train.one_hot(labels, 4), 0.1))
+
+
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_train_loop_rejects_max_steps_below_one(max_steps, tmp_path):
     # A run asked for no steps used to train one and return its checkpoint.
