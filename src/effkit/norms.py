@@ -328,8 +328,13 @@ def scaled_activation_backward(cache, dz: np.ndarray):
     ``sums`` = (sum(da * y), sum(da)) per channel are the gradients of gamma
     and beta, which ``grads`` maps by parameter name.
     """
-    y, gamma = cache["y"], cache["gamma"]
-    da = cache["act"].grad(_pre_activation(y, gamma, cache["beta"]), dz)
+    y, gamma, act = cache["y"], cache["gamma"], cache["act"]
+    if act is ACTIVATIONS["identity"]:
+        # act' = 1 reads no pre-activation. dz also feeds the residual path,
+        # so da is a copy of it, not dz itself.
+        da = dz.copy()
+    else:
+        da = act.grad(_pre_activation(y, gamma, cache["beta"]), dz)
     sums = _channel_sums(da, y)
     return da, gamma.reshape(-1), sums, {"gamma": sums[0], "beta": sums[1]}
 

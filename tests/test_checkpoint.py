@@ -1,7 +1,9 @@
 """Checkpoint container format and the trained-state wrapper."""
 
+import collections
 import hashlib
 import json
+import os
 import struct
 from dataclasses import fields
 
@@ -126,6 +128,14 @@ def test_load_rejects_corruption(tmp_path):
         path.write_bytes(with_index(data, shaped))
         with pytest.raises(ValueError, match=named):
             checkpoint.load_checkpoint(path)
+
+
+def test_load_refuses_an_index_longer_than_the_file(tmp_path):
+    # Refused before the index is read: a 1 TiB length is not allocated.
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(struct.pack("<Q", 1 << 40) + b"{}")
+    with pytest.raises(ValueError, match="index of 1099511627776 bytes runs past the end"):
+        checkpoint.load_checkpoint(path)
 
 
 def with_index(data: bytes, index) -> bytes:
@@ -274,25 +284,124 @@ def test_checkpoint_rebuilds_a_working_model(tmp_path):
     np.testing.assert_array_equal(net2.forward(x, train=False), logits)
 
 
-def test_checkpoint_build_draws_nothing_and_holds_the_state_bit_for_bit():
-    # A bn model, so that the running-moment buffers are loaded too.
-    net = build_model(ModelConfig.tiny(norm=NormSpec("bn")), make_rng(4))
+def _two_epoch_checkpoint(norm: str):
+    """A tiny model trained for two epochs of two batches: the average is
+    updated after the first epoch's copy, so ``ema`` differs from the raw
+    parameters under ``state``."""
+    net = build_model(ModelConfig.tiny(norm=NormSpec(norm), proxy=norm != "bn"), make_rng(4))
     x, y = blob_dataset(16, size=32, classes=2, seed=4)
-    ckpt = train.train_loop(net, as_batches(x, y, 8), train.TrainRecipe(global_batch=8),
-                            seed=0, max_steps=2)
+    ckpt = train.train_loop(net, as_batches(x, y, 8), train.TrainRecipe(global_batch=8, epochs=2),
+                            seed=0)
+    assert any(ckpt.ema[name].tobytes() != ckpt.state[name].tobytes() for name in ckpt.ema)
+    return ckpt, x, y
+
+
+def test_checkpoint_build_draws_nothing_and_holds_the_average_bit_for_bit(tmp_path):
+    # A bn model, so that the running-moment buffers are loaded too.
+    ckpt, _, _ = _two_epoch_checkpoint("bn")
     assert any("running_var" in name for name in ckpt.state)
+    ckpt.save(tmp_path / "ckpt.bin")
     rng = make_rng(5)
 
     def generator_state():  # Philox's state holds arrays: compare it as JSON
         return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
     before = generator_state()
-    built = ckpt.build_model(rng)
-    assert generator_state() == before
-    state = built.state()
+    for source in (ckpt, train.Checkpoint.load(tmp_path / "ckpt.bin")):
+        built = source.build_model(rng)
+        assert generator_state() == before
+        state, params = built.state(), built.params()
+        assert sorted(state) == sorted(ckpt.state)
+        assert sorted(params) == sorted(ckpt.ema)
+        for name, arr in state.items():
+            want = ckpt.ema[name] if name in params else ckpt.state[name]
+            assert arr.tobytes() == want.tobytes(), name
+
+
+def _payload_names(path) -> dict[int, set[str]]:
+    """The file position of each payload mapped to the names that share it."""
+    data = path.read_bytes()
+    base = 8 + struct.unpack("<Q", data[:8])[0]
+    names = collections.defaultdict(set)
+    for name, entry in _index(data)["tensors"].items():
+        names[base + entry["offset"] + 8 * (1 + len(entry["shape"]))].add(name)
+    return names
+
+
+@pytest.fixture
+def payload_reads(monkeypatch) -> list[int]:
+    """The file positions of the payloads read, in order."""
+    positions = []
+    read = checkpoint._read_payload
+
+    def recorded(fd, arr, position):
+        positions.append(position)
+        return read(fd, arr, position)
+
+    monkeypatch.setattr(checkpoint, "_read_payload", recorded)
+    return positions
+
+
+@pytest.mark.parametrize("norm", ["ln", "bn"])
+def test_a_fine_tune_reads_the_average_and_the_buffers_once(norm, tmp_path, payload_reads):
+    ckpt, x, y = _two_epoch_checkpoint(norm)
+    path = tmp_path / "ckpt.bin"
+    ckpt.save(path)
+    back = train.Checkpoint.load(path)
+    assert all(name in back.state for name in ckpt.state) and "x" not in back.state
+    assert payload_reads == []
+    recipe = train.FinetuneRecipe(scope="last-1", epochs=2, batch=8)
+    train.finetune(back.build_model(), back, recipe, as_batches(x, y, 8))
+    assert len(set(payload_reads)) == len(payload_reads)
+    names = _payload_names(path)
+    read = set().union(*(names[at] for at in payload_reads))
+    buffers = {f"state/{name}" for name in set(ckpt.state) - set(ckpt.ema)}
+    assert bool(buffers) == (norm == "bn")
+    assert read == {f"ema/{name}" for name in ckpt.ema} | buffers
+
+
+def test_the_state_alone_reads_no_average(tmp_path, payload_reads):
+    ckpt, _, _ = _two_epoch_checkpoint("ln")
+    path = tmp_path / "ckpt.bin"
+    ckpt.save(path)
+    state = dict(train.Checkpoint.load(path).state)
     assert sorted(state) == sorted(ckpt.state)
-    for name, arr in ckpt.state.items():
-        assert state[name].tobytes() == arr.tobytes(), name
+    names = _payload_names(path)
+    assert set().union(*(names[at] for at in payload_reads)) == {f"state/{n}" for n in ckpt.state}
+
+
+def test_a_loaded_checkpoint_reads_the_file_it_loaded(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    old = {"a": np.arange(6.0).reshape(2, 3), "b": np.full(4, 2.5)}
+    checkpoint.save_checkpoint(path, old)
+    back, _ = checkpoint.load_checkpoint(path)
+    # Replaced by an atomic rename: the loaded file's bytes, never the new ones.
+    checkpoint.save_checkpoint(path, {name: arr + 1.0 for name, arr in old.items()})
+    assert back["a"].tobytes() == old["a"].tobytes()
+    # Cut in place under the open file: a payload it no longer holds is refused.
+    data = path.read_bytes()
+    back, _ = checkpoint.load_checkpoint(path)
+    path.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match="b: truncated tensor payload"):
+        back["b"]
+    assert back["a"].tobytes() == (old["a"] + 1.0).tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_loaded_checkpoints_close_their_files(tmp_path):
+    ckpt, _, _ = _two_epoch_checkpoint("ln")
+    path, bad = tmp_path / "ckpt.bin", tmp_path / "bad.bin"
+    ckpt.save(path)
+    bad.write_bytes(path.read_bytes()[:-8])
+    name = next(iter(ckpt.ema))
+    open_files = len(os.listdir("/proc/self/fd"))
+    for _ in range(500):
+        back = train.Checkpoint.load(path)
+        assert back.ema[name].tobytes() == ckpt.ema[name].tobytes()
+        del back
+        with pytest.raises(ValueError, match="past the end of the file"):
+            train.Checkpoint.load(bad)
+    assert len(os.listdir("/proc/self/fd")) == open_files
 
 
 def test_checkpoint_is_one_class_with_its_methods_in_its_own_body():

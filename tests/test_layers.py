@@ -401,6 +401,34 @@ def test_forward_only_passes_call_no_derivative(monkeypatch):
         assert not calls, (kind, calls)
         y = net.forward(x, train=True)
         net.backward(np.ones_like(y))
-        assert calls["swish"] and calls["identity"], kind
+        # The projection NormAct's identity backward copies dz and takes no
+        # derivative (test_identity_normact_backward_recomputes_nothing).
+        assert calls["swish"] and not calls["identity"], kind
         assert bool(calls["proxy_moment_grads"]) == (kind != "bn"), kind
         calls.clear()
+
+
+def test_identity_normact_backward_recomputes_nothing(monkeypatch):
+    # act' = 1, so an identity NormAct's backward recomputes no gamma*y + beta;
+    # it copies dz, which a residual path may read after it.
+    calls = []
+    pre_activation = norms._pre_activation
+
+    def counted(*args):
+        calls.append(args)
+        return pre_activation(*args)
+
+    monkeypatch.setattr(norms, "_pre_activation", counted)
+    rng = make_rng(23)
+    for kind in NORM_KINDS:
+        for activation in ("identity", "swish"):
+            layer = layers.NormAct(6, NormSpec(kind), activation)
+            x = rng.normal(size=(3, 6, 4, 5))
+            z = layer.forward(x, train=True)
+            assert len(calls) == 1, (kind, activation)
+            dz = rng.normal(size=z.shape)
+            kept = dz.copy()
+            layer.backward(dz)
+            assert len(calls) == 1 + (activation != "identity"), (kind, activation)
+            assert np.array_equal(dz, kept), (kind, activation)
+            calls.clear()
